@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state, state_to_bits
 from .generators import ShrinkingGenerator, format_bits
-from .gf2poly import Gf2Poly, is_primitive
+from .gf2poly import Gf2Poly, _numeral, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
@@ -38,39 +38,41 @@ class BmResult:
     linear_complexity: int
 
 
-def _reverse_bits(x: int, width: int) -> int:
-    out = 0
-    for i in range(width):
-        if (x >> i) & 1:
-            out |= 1 << (width - 1 - i)
-    return out
-
-
 def berlekamp_massey(seq: Sequence[int]) -> BmResult:
     """Shortest recurrence generating the window.
 
     Returns LC = 0 with polynomial 1 for the all-zero window.  The
-    recurrence is held as an int mask (bit i = tap at lag i) against a
-    reversed window accumulator, so each step is a couple of word ops.
+    recurrence is an int mask (bit i = tap at lag i) against a history
+    register (bit i = seq[n - i]) cut to `width` bits; when the mask
+    outgrows width/2, the history is rebuilt from the input 4x as wide
+    as the mask, so a step costs O(LC) bit operations, not O(n).
     """
     c, b = 1, 1  # current and previous feedback masks, bit 0 always set
     lc, m = 0, -1
-    rev = 0  # bit i = seq[n - i]
+    width, keep, rev = 64, (1 << 64) - 1, 0
     for n, s in enumerate(seq):
         if s not in (0, 1):
             raise ValueError("sequence bits must be 0 or 1")
-        rev = (rev << 1) | s
+        rev = ((rev << 1) | s) & keep
         if (c & rev).bit_count() & 1:
             t = c
             c ^= b << (n - m)
             if 2 * lc <= n:
                 lc, b, m = n + 1 - lc, t, n
+            if c.bit_length() > width // 2:
+                width = 4 * c.bit_length()
+                keep = (1 << width) - 1
+                rev = _numeral(seq[max(0, n + 1 - width) : n + 1])
     # Characteristic-polynomial convention: reverse over degree lc.
-    return BmResult(Gf2Poly(_reverse_bits(c, lc + 1)), lc)
+    return BmResult(Gf2Poly(int(format(c, f"0{lc + 1}b")[::-1], 2)), lc)
 
 
 def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> bool:
-    """True iff the shift operator q(E)**multiplicity kills the window."""
+    """True iff the shift operator q(E)**multiplicity kills the window.
+
+    Bit len - 1 - i of the packed window times the operator (a carry-less
+    product, one shift per tap) is the operator applied at position i.
+    """
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     mask_poly = q**multiplicity
@@ -79,14 +81,8 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
         raise ValueError("the zero operator annihilates nothing meaningfully")
     if len(seq) < span + 1:
         raise ValueError(f"window shorter than the operator span {span + 1}")
-    mask = mask_poly.bits
-    packed = 0
-    for i, s in enumerate(seq):
-        packed |= (s & 1) << i
-    for n in range(len(seq) - span):
-        if (mask & (packed >> n)).bit_count() & 1:
-            return False
-    return True
+    acc = (Gf2Poly(_numeral(seq)) * mask_poly).bits
+    return not (acc >> span) & ((1 << (len(seq) - span)) - 1)
 
 
 def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
@@ -206,7 +202,11 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     lin = linearize_shrinking_generator(l1, r2.charpoly)
     window = gen.shrunken_sequence(2 * period)
 
-    bm = berlekamp_massey(window)
+    # lin.length bounds LC, so 2 * lin.length bits fix the polynomial; the
+    # whole-window check keeps it exact for a generator beyond the bound.
+    bm = berlekamp_massey(window[: 2 * lin.length])
+    if not check_annihilation(bm.connection_poly, 1, window):
+        bm = berlekamp_massey(window)
     bounds = lc_bounds(l1, l2) if l1 >= 2 else None
     lc_ok = bounds[0] < bm.linear_complexity <= bounds[1] if bounds else None
 

@@ -9,11 +9,12 @@ words, bit i = cell i+1, so one step is two shifts and a mask.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+from .gf2poly import Gf2Poly, _numeral
 
-from .gf2poly import Gf2Poly
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RuleVector",
@@ -84,12 +85,7 @@ class RuleVector:
 
 def state_from_bits(bits: Sequence[int]) -> int:
     """Pack a cell list (cell 1 first) into a state word."""
-    state = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("cell values must be 0 or 1")
-        state |= b << i
-    return state
+    return _numeral(list(bits)[::-1])
 
 
 def state_to_bits(state: int, length: int) -> list[int]:
@@ -151,6 +147,7 @@ def transition_matrix(rules: RuleVector) -> np.ndarray:
 
     One automaton step is the matrix-vector product over GF(2).
     """
+    import numpy as np
     L = len(rules)
     m = np.zeros((L, L), dtype=np.uint8)
     for i, d in enumerate(rules.delta):

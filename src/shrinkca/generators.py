@@ -1,21 +1,23 @@
 """Shift-register keystream generation and bit-sequence utilities.
 
-Sequences are plain lists of 0/1 ints, index 0 first emitted; the text
-form is ``^[01]+$`` with index 0 leftmost.  A register's characteristic
-polynomial annihilates its stream: with P of degree r, every output bit
-satisfies a_n = sum of a_(n-r+j) over the set coefficients j < r of P.
-The seed is the first r emitted bits, so (1,0,0) starts the stream
-1,0,0,...  (The reciprocal-polynomial convention, where taps read from
-the other end, is deliberately not used.)
+Sequences are lists of 0/1 ints at the API, index 0 first emitted, and
+0/1 bytes or a binary-numeral int (index 0 most significant) inside;
+the text form is ``^[01]+$`` with index 0 leftmost.  A register's
+characteristic polynomial annihilates its stream: with P of degree r,
+every output bit satisfies a_n = sum of a_(n-r+j) over the set
+coefficients j < r of P.  The seed is the first r emitted bits, so
+(1,0,0) starts the stream 1,0,0,...  (The reciprocal-polynomial
+convention, where taps read from the other end, is not used.)
 """
 
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _numeral
 
 __all__ = [
     "Lfsr",
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 _BITS = re.compile(r"[01]+")
+_LEAP_MAX = 4096  # largest block of bits one leap step generates
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def parse_bits(text: str) -> list[int]:
@@ -48,7 +52,7 @@ class Lfsr:
     never mutates the register.
     """
 
-    __slots__ = ("charpoly", "state", "_taps")
+    __slots__ = ("charpoly", "state", "_lags")
 
     def __init__(self, charpoly: Gf2Poly, state: Sequence[int]):
         r = charpoly.degree
@@ -61,7 +65,7 @@ class Lfsr:
             raise ValueError("seed bits must be 0 or 1")
         self.charpoly = charpoly
         self.state = state
-        self._taps = tuple(j for j in range(r) if charpoly.coeff(j))
+        self._lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
 
     @property
     def length(self) -> int:
@@ -69,16 +73,23 @@ class Lfsr:
 
     def sequence(self, n: int) -> list[int]:
         """First n output bits."""
+        return list(self._stream(n))
+
+    def _stream(self, n: int) -> bytes:
+        """First n output bits as 0/1 bytes.  P(x)**B = P(x**B) for B = 2**k,
+        so once r*B bits exist, the next B bits XOR the blocks lag*B back."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         r = self.length
-        out = list(self.state[:n])
-        for k in range(r, n):
-            v = 0
-            for j in self._taps:
-                v ^= out[k - r + j]
-            out.append(v)
-        return out
+        stream, have = _numeral(self.state), r
+        while have < n:
+            block = min(_LEAP_MAX, 1 << ((have // r).bit_length() - 1))
+            new = 0
+            for lag in self._lags:
+                new ^= (stream & ((1 << lag * block) - 1)) >> (lag - 1) * block
+            stream = (stream << block) | new
+            have += block
+        return format(stream, f"0{have}b")[:n].encode().translate(_FROM_DIGITS)
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -103,24 +114,18 @@ class ShrinkingGenerator:
         """First n kept bits of the data stream."""
         if n < 0:
             raise ValueError("count must be nonnegative")
-        if n == 0:
-            return []
-        if not any(self.r1.state):
+        if n and not any(self.r1.state):
             raise ValueError("control register produces no ones")
-        # A control cycle visits at most 2**L1 states, so needing more
-        # than (n + 1) << L1 raw bits means the ones have run out.
+        # m is enough for a primitive control, 2**(L1-1) ones per 2**L1 - 1 bits;
+        # a control cycle has at most 2**L1 states, so past `cap` the ones are gone.
         cap = (n + 1) << self.r1.length
-        m = 4 * n + 4 * self.r2.length
+        m = 2 * n + (2 << self.r1.length)
         while True:
-            kept = [
-                b
-                for a, b in zip(self.r1.sequence(m), self.r2.sequence(m))
-                if a
-            ]
-            if len(kept) >= n:
-                return kept[:n]
+            control = self.r1._stream(m)
+            if control.count(1) >= n:
+                return list(bytes(compress(self.r2._stream(m), control))[:n])
             if m > cap:
-                raise RuntimeError("control register ran out of ones")
+                raise ValueError("control register ran out of ones")
             m *= 2
 
     def __repr__(self):

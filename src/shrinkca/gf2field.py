@@ -162,12 +162,9 @@ def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
             nxt[i + 1] += c
             nxt[i] += c * root
         coeffs = nxt
-    bits = 0
-    for i, c in enumerate(coeffs):
-        if c.bits not in (0, 1):
-            raise RuntimeError("conjugate product left GF(2)")  # impossible
-        bits |= c.bits << i
-    result = Gf2Poly(bits)
+    if any(c.bits > 1 for c in coeffs):
+        raise RuntimeError("conjugate product left GF(2)")  # impossible
+    result = Gf2Poly.from_coeffs(c.bits for c in coeffs)
     if result.degree != len(coset) or not is_irreducible(result):
         raise RuntimeError("conjugate product is not a minimal polynomial")
     return result

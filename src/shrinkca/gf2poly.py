@@ -27,14 +27,20 @@ _BITSTRING = re.compile(r"[01]+")
 _TERM = re.compile(r"1|x(\^\d+)?")
 
 
+def _numeral(seq) -> int:
+    """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
+    raw = seq if isinstance(seq, bytes) else bytes(list(seq))
+    if raw.translate(None, b"\0\1"):
+        raise ValueError("sequence bits must be 0 or 1")
+    return int(raw.translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)
+
+
 def _mul_bits(a: int, b: int) -> int:
-    """Carry-less product of two coefficient masks."""
+    """Carry-less product of two masks: a shifted copy of a per set bit of b."""
     acc = 0
     while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+        acc ^= a << ((b & -b).bit_length() - 1)
+        b &= b - 1
     return acc
 
 
@@ -66,12 +72,7 @@ class Gf2Poly:
     @classmethod
     def from_coeffs(cls, coeffs) -> "Gf2Poly":
         """Build from an ascending coefficient iterable of 0/1 values."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(bits)
+        return cls(_numeral(list(coeffs)[::-1]))
 
     @classmethod
     def parse(cls, text: str) -> "Gf2Poly":

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the library's fast paths: list-based long
 division, trial-division factor search, exact integer characteristic
-polynomials, linear-system recurrence search, and a literal
-generate-then-filter keystream.  Tests compare the production code
+polynomials, linear-system recurrence search, a bit-by-bit register and
+a literal generate-then-filter keystream, Berlekamp-Massey over a
+full-window history register, and a bit-by-bit annihilation scan.  Tests compare the production code
 against these slower routes.
 """
 
@@ -160,14 +161,60 @@ def exact_char_poly_mod2(rules: RuleVector) -> Gf2Poly:
     return Gf2Poly.from_coeffs([int(c) % 2 for c in reversed(coeffs)])
 
 
+def literal_lfsr(reg: Lfsr, n: int) -> list[int]:
+    """One output bit at a time from the recurrence a_k = sum a_(k-r+j)."""
+    r = reg.length
+    taps = [j for j in range(r) if reg.charpoly.coeff(j)]
+    out = list(reg.state[:n])
+    for k in range(r, n):
+        v = 0
+        for j in taps:
+            v ^= out[k - r + j]
+        out.append(v)
+    return out
+
+
 def brute_shrunken(gen: ShrinkingGenerator, n: int) -> list[int]:
-    """Generate a big block of register pairs and filter literally."""
+    """Generate a big block of register pairs bit by bit and filter literally."""
     m = 4 * n + 64
-    a = gen.r1.sequence(m)
-    b = gen.r2.sequence(m)
+    a = literal_lfsr(gen.r1, m)
+    b = literal_lfsr(gen.r2, m)
     kept = [y for x, y in zip(a, b) if x == 1]
     assert len(kept) >= n
     return kept[:n]
+
+
+def full_register_bm(seq) -> tuple[int, Gf2Poly]:
+    """Berlekamp-Massey against a history register as long as the window:
+    every step shifts the whole reversed window.  Returns (lc, charpoly)."""
+    c, b = 1, 1
+    lc, m = 0, -1
+    rev = 0  # bit i = seq[n - i]
+    for n, s in enumerate(seq):
+        rev = (rev << 1) | s
+        if (c & rev).bit_count() & 1:
+            t = c
+            c ^= b << (n - m)
+            if 2 * lc <= n:
+                lc, b, m = n + 1 - lc, t, n
+    poly = 0
+    for i in range(lc + 1):
+        if (c >> i) & 1:
+            poly |= 1 << (lc - i)
+    return lc, Gf2Poly(poly)
+
+
+def loop_annihilation(q: Gf2Poly, multiplicity: int, seq) -> bool:
+    """Pack the window bit by bit, then test every position in turn."""
+    mask_poly = q**multiplicity
+    span = mask_poly.degree
+    packed = 0
+    for i, s in enumerate(seq):
+        packed |= (s & 1) << i
+    for n in range(len(seq) - span):
+        if (mask_poly.bits & (packed >> n)).bit_count() & 1:
+            return False
+    return True
 
 
 def naive_period(seq) -> int:

@@ -197,3 +197,17 @@ def test_criterion_7_oracle_equivalences():
                 assert (got.linear_complexity, got.connection_poly) == (lc, oracle)
 
     _criterion(7, 30.0, "four independent-oracle equivalences", body)
+
+
+def test_criterion_8_attack_at_4_15():
+    def body():
+        p1, p2 = cf.first_primitive(4), cf.first_primitive(15)
+        gen = ShrinkingGenerator(Lfsr(p1, [1, 0, 0, 0]), Lfsr(p2, [1] + [0] * 14))
+        report = verify_linearization(gen)
+        period = ((1 << 15) - 1) << 3
+        assert report.verdict and report.verified_period == period
+        assert report.window_length == 2 * period
+        assert report.lc_in_bounds and report.factorization_ok
+        assert report.linear_complexity == 15 * report.measured_multiplicity
+
+    _criterion(8, 1.5, "attack at (4, 15) over a 524272-bit window", body)

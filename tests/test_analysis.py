@@ -69,6 +69,68 @@ class TestBerlekampMassey:
             berlekamp_massey([0, 1, 2])
 
 
+class TestChunkedHistoryEquivalence:
+    """Berlekamp-Massey with a chunked history register against the
+    brute-force recurrence search and the full-register route."""
+
+    def test_short_adversarial_windows_vs_bruteforce(self):
+        rng = random.Random(0xAD5E)
+        windows = [[0] * k + [1] for k in range(20)]  # 0...01: LC = n
+        windows += [[0] * k for k in range(1, 20)]
+        for _ in range(150):  # random windows sit near LC = n/2
+            windows.append([rng.randrange(2) for _ in range(rng.randrange(1, 23))])
+        for _ in range(60):  # register streams of degree about n/2
+            n = rng.randrange(4, 23)
+            r = rng.randrange(max(1, n // 2 - 1), n // 2 + 1)
+            reg = Lfsr(Gf2Poly(rng.randrange(1 << r, 1 << (r + 1))),
+                       [rng.randrange(2) for _ in range(r)])
+            windows.append(reg.sequence(n))
+        for window in windows:
+            got = berlekamp_massey(window)
+            lc, poly = cf.brute_min_recurrence(window)
+            assert got.linear_complexity == lc
+            if poly is not None:
+                assert got.connection_poly == poly
+            if lc < len(window):
+                assert check_annihilation(got.connection_poly, 1, window)
+
+    def test_one_at_the_end_has_full_complexity(self):
+        for n in (1, 31, 32, 33, 64, 65, 500):
+            window = [0] * (n - 1) + [1]
+            result = berlekamp_massey(window)
+            assert result.linear_complexity == n
+            assert result.connection_poly == Gf2Poly((1 << n) | 1)
+            assert cf.full_register_bm(window) == (n, result.connection_poly)
+
+    def test_long_windows_vs_full_register(self):
+        # Complexities from 40 to 1000 push the history through several
+        # widenings (it starts at 64 bits and grows fourfold past half).
+        rng = random.Random(0xB3)
+        windows = [[rng.randrange(2) for _ in range(n)] for n in (80, 300, 2000)]
+        windows.append([0] * 1500 + [1] + [0] * 300)
+        # A long low-complexity stretch, then a break: the mask jumps far
+        # past the history width, and the bits it now reads are not zero.
+        for r in (2, 5, 9):
+            reg = Lfsr(cf.first_primitive(r), cf.random_nonzero_seed(rng, r))
+            broken = reg.sequence(900)
+            broken[400 + r] ^= 1
+            windows.append(broken)
+        for r in (40, 150, 600):
+            reg = Lfsr(Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)) | 1),
+                       cf.random_nonzero_seed(rng, r))
+            windows.append(reg.sequence(2 * r + rng.randrange(1, 500)))
+        windows.append(cf.gen_b().shrunken_sequence(1000))
+        for window in windows:
+            got = berlekamp_massey(window)
+            assert (got.linear_complexity, got.connection_poly) == cf.full_register_bm(window)
+            assert berlekamp_massey(bytes(window)) == got
+
+    @pytest.mark.parametrize("bad", [[0, 1, 2], [1, -1], [0, 48], [1, "1"]])
+    def test_rejects_non_bits_anywhere(self, bad):
+        with pytest.raises(ValueError):
+            berlekamp_massey(bad)
+
+
 class TestCheckAnnihilation:
     def test_register_stream_annihilated(self):
         window = cf.make_lfsr(cf.R2A_POLY, cf.R2A_SEED).sequence(45)
@@ -90,6 +152,33 @@ class TestCheckAnnihilation:
     def test_multiplicity_validation(self):
         with pytest.raises(ValueError):
             check_annihilation(Gf2Poly.parse("11001"), 0, [0] * 8)
+
+    def test_packed_matches_loop(self):
+        rng = random.Random(0xA7)
+        for _ in range(300):
+            q = Gf2Poly(rng.randrange(1, 1 << rng.randrange(1, 9)))
+            mult = rng.randrange(1, 4)
+            span = (q**mult).degree
+            n = span + 1 + rng.randrange(0, 200)
+            if rng.random() < 0.5 and span:
+                # A stream q**mult annihilates, sometimes with one flipped bit.
+                reg = Lfsr(q**mult, [rng.randrange(2) for _ in range(span)])
+                window = reg.sequence(n)
+                if rng.random() < 0.3:
+                    window[rng.randrange(n)] ^= 1
+            else:
+                window = [rng.randrange(2) for _ in range(n)]
+            assert check_annihilation(q, mult, window) == cf.loop_annihilation(q, mult, window)
+            for i in (0, n - 1):  # the first and last positions count too
+                window[i] ^= 1
+                assert check_annihilation(q, mult, window) == cf.loop_annihilation(
+                    q, mult, window
+                )
+                window[i] ^= 1
+
+    def test_rejects_non_bits(self):
+        with pytest.raises(ValueError):
+            check_annihilation(Gf2Poly.parse("11"), 1, [0, 1, 2])
 
 
 class TestLcBounds:
@@ -191,6 +280,20 @@ class TestVerifyLinearization:
         a = verify_linearization(cf.gen_a())
         b = verify_linearization(alt)
         assert a.linearization == b.linearization
+
+    def test_window_beyond_the_bound_falls_back_to_full_bm(self, monkeypatch):
+        # A window whose complexity exceeds lin.length: the prefix result
+        # fails the whole-window check, and the full-window BM is reported.
+        window = cf.gen_a().shrunken_sequence(120)
+        window[100] ^= 1
+        monkeypatch.setattr(
+            ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
+        )
+        report = verify_linearization(cf.gen_a())
+        lc, _ = cf.full_register_bm(window)
+        assert lc > report.linearization.length
+        assert report.linear_complexity == lc
+        assert not report.factorization_ok and not report.verdict
 
     def test_report_serialization(self):
         report = verify_linearization(cf.gen_a())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import conftest as cf
+import shrinkca
 from shrinkca import Gf2Poly, RuleVector
 from shrinkca.cli import main
 
@@ -158,6 +163,20 @@ class TestAttack:
 
 
 class TestUsage:
+    def test_control_out_of_ones_exits_two_without_traceback(self):
+        env = dict(os.environ)
+        src = str(Path(shrinkca.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shrinkca", "shrink", "--p1", "011", "--s1", "10",
+             "--p2", "1011", "--s2", "100", "--count", "5"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("shrinkca: error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_polynomial(self, capsys):
         code, _, err = run_cli(
             capsys, "lfsr", "--poly", "10a1", "--seed", "100", "--count", "5"

@@ -178,3 +178,58 @@ class TestSequenceUtilities:
             decimate_by_stride([1, 0], 0)
         with pytest.raises(ValueError):
             decimate_by_stride([1, 0], 2, 2)
+
+
+class TestLeapGeneratorEquivalence:
+    """The block-leaping register and keystream against the bit-by-bit
+    routes in conftest, on arbitrary (also singular) polynomials."""
+
+    def test_register_counts_around_edges(self):
+        rng = random.Random(0x1EA9)
+        for _ in range(300):
+            r = rng.randrange(1, 20)
+            poly = Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)))
+            reg = Lfsr(poly, [rng.randrange(2) for _ in range(r)])
+            for n in (0, 1, rng.randrange(r), r, r + 1, rng.randrange(r, 8 * r + 40)):
+                assert reg.sequence(n) == cf.literal_lfsr(reg, n)
+
+    def test_register_past_largest_block(self):
+        # Long enough that blocks reach 4096 bits; lengths off the block grid.
+        rng = random.Random(0xB10C)
+        for r in (1, 2, 3, 5, 8):
+            poly = Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)) | 1)
+            reg = Lfsr(poly, cf.random_nonzero_seed(rng, r))
+            n = 2 * r * 4096 + 3 * 4096 + rng.randrange(1, 4096)
+            assert reg.sequence(n) == cf.literal_lfsr(reg, n)
+
+    def test_keystream_random_registers(self):
+        rng = random.Random(0x5A1D)
+        checked = 0
+        while checked < 150:
+            l1, l2 = rng.randrange(1, 7), rng.randrange(1, 9)
+            if gcd(l1, l2) != 1:
+                continue
+            gen = ShrinkingGenerator(
+                Lfsr(Gf2Poly(rng.randrange(1 << l1, 1 << (l1 + 1))),
+                     cf.random_nonzero_seed(rng, l1)),
+                Lfsr(Gf2Poly(rng.randrange(1 << l2, 1 << (l2 + 1))),
+                     [rng.randrange(2) for _ in range(l2)]),
+            )
+            n = rng.randrange(0, 200)
+            try:
+                got = gen.shrunken_sequence(n)
+            except ValueError:
+                # Only a control stream that runs out of ones may refuse.
+                assert sum(cf.literal_lfsr(gen.r1, (n + 1) << l1)) < n
+                continue
+            assert got == cf.brute_shrunken(gen, n)
+            checked += 1
+
+    def test_control_running_out_of_ones_is_value_error(self):
+        # x + x^2 has no constant term: the stream 1, 0, 0, ... has one 1.
+        gen = ShrinkingGenerator(
+            cf.make_lfsr("011", "10"), cf.make_lfsr("1011", "100")
+        )
+        assert gen.shrunken_sequence(1) == [1]
+        with pytest.raises(ValueError, match="ran out of ones"):
+            gen.shrunken_sequence(5)
