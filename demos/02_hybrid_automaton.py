@@ -10,11 +10,11 @@ from shrinkca import (
     RuleVector,
     ca_char_poly,
     ca_run,
+    ca_step,
     cell_output,
     sequence_period,
     state_from_bits,
     state_to_bits,
-    transition_matrix,
 )
 
 rules = RuleVector.parse("0111001110")
@@ -33,10 +33,12 @@ print("cell-sequence periods:", [
     sequence_period(cell_output(orbit, cell)) for cell in range(len(rules))
 ])
 
-# One step is the product with a tridiagonal 0/1 matrix; its
-# characteristic polynomial is an irreducible square.
+# One step is the product with a tridiagonal 0/1 matrix M.  M is
+# symmetric, so row i is M e_i: one step from the single-cell state.
+# Its characteristic polynomial is an irreducible square.
 print("transition matrix:")
-print(transition_matrix(rules))
+for i in range(len(rules)):
+    print(" ", " ".join(str(b) for b in state_to_bits(ca_step(rules, 1 << i), len(rules))))
 poly = ca_char_poly(rules)
 print("characteristic polynomial:", poly.to_terms())
 base = ca_char_poly(RuleVector.parse("01111"))

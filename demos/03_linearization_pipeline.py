@@ -1,13 +1,13 @@
 """Walk the linearization pipeline one stage at a time.
 
 Given only the control length and the data polynomial, the pipeline
-derives the keystream's base polynomial from a conjugate set, finds the
-two automata realizing it, and doubles them until their characteristic
-polynomial is the right power.
+derives the keystream's base polynomial (the minimal polynomial of a
+power of a data-polynomial root), finds the two automata realizing it,
+and doubles them until their characteristic polynomial is the right
+power.
 """
 
 from shrinkca import (
-    FieldContext,
     Gf2Poly,
     ca_char_poly,
     concat_double,
@@ -22,9 +22,9 @@ p2 = Gf2Poly.parse("111011")  # 1 + x + x^2 + x^4 + x^5, primitive
 
 # Stage 1: the keystream decimates the data stream at stride 2^l1 - 1 = 7,
 # so its base polynomial is the minimal polynomial of alpha^7.
-ctx = FieldContext(p2)
+order = (1 << p2.degree) - 1
 n = (1 << l1) - 1
-print("exponent:", n, "conjugate set:", cyclotomic_coset(n, ctx.order))
+print("exponent:", n, "conjugate set:", cyclotomic_coset(n, order))
 base = minimal_polynomial_of_power(p2, n)
 print("base polynomial:", base.to_terms())
 

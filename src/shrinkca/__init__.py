@@ -22,7 +22,6 @@ from .automata import (
     fit_initial_state,
     state_from_bits,
     state_to_bits,
-    transition_matrix,
 )
 from .generators import (
     Lfsr,
@@ -33,8 +32,6 @@ from .generators import (
     sequence_period,
 )
 from .gf2field import (
-    FieldContext,
-    FieldElement,
     cyclotomic_coset,
     evaluate_solution,
     minimal_polynomial_of_power,
@@ -61,8 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackReport",
     "BmResult",
-    "FieldContext",
-    "FieldElement",
     "Gf2Poly",
     "Lfsr",
     "LinearizationResult",
@@ -95,6 +90,5 @@ __all__ = [
     "state_from_bits",
     "state_to_bits",
     "synthesize_ca_pair",
-    "transition_matrix",
     "verify_linearization",
 ]

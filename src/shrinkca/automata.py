@@ -9,12 +9,9 @@ words, bit i = cell i+1, so one step is two shifts and a mask.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .gf2poly import Gf2Poly, _numeral
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RuleVector",
@@ -24,7 +21,6 @@ __all__ = [
     "ca_run",
     "cell_output",
     "ca_char_poly",
-    "transition_matrix",
     "fit_initial_state",
 ]
 
@@ -38,12 +34,12 @@ class RuleVector:
     __slots__ = ("delta", "mask150", "_mask_all")
 
     def __init__(self, delta):
-        delta = tuple(int(d) for d in delta)
+        delta = tuple(delta)
         if len(delta) < 1:
             raise ValueError("a rule vector needs at least one cell")
         if any(d not in (0, 1) for d in delta):
             raise ValueError("rule bits must be 0 or 1")
-        self.delta = delta
+        self.delta = delta = tuple(map(int, delta))
         self.mask150 = sum(d << i for i, d in enumerate(delta))
         self._mask_all = (1 << len(delta)) - 1
 
@@ -140,22 +136,6 @@ def _char_poly_bits(delta: Sequence[int]) -> int:
 def ca_char_poly(rules: RuleVector) -> Gf2Poly:
     """Characteristic polynomial of the transition matrix, degree L."""
     return Gf2Poly(_char_poly_bits(rules.delta))
-
-
-def transition_matrix(rules: RuleVector) -> np.ndarray:
-    """Tridiagonal 0/1 matrix M with M[i][i] = delta_i and ones beside it.
-
-    One automaton step is the matrix-vector product over GF(2).
-    """
-    import numpy as np
-    L = len(rules)
-    m = np.zeros((L, L), dtype=np.uint8)
-    for i, d in enumerate(rules.delta):
-        m[i, i] = d
-        if i + 1 < L:
-            m[i, i + 1] = 1
-            m[i + 1, i] = 1
-    return m
 
 
 def fit_initial_state(

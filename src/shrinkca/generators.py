@@ -58,13 +58,13 @@ class Lfsr:
         r = charpoly.degree
         if r < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
-        state = tuple(int(b) for b in state)
+        state = tuple(state)
         if len(state) != r:
             raise ValueError(f"seed must supply exactly {r} bits")
         if any(b not in (0, 1) for b in state):
             raise ValueError("seed bits must be 0 or 1")
         self.charpoly = charpoly
-        self.state = state
+        self.state = tuple(map(int, state))
         self._lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
 
     @property

@@ -1,125 +1,26 @@
-"""Arithmetic in GF(2^r) and conjugate-set machinery.
+"""GF(2^r) on plain int residues: cosets, minimal polynomials of powers
+and explicit recurrence solutions.
 
-A field context fixes an irreducible modulus of degree r; elements are
-residue polynomials of degree < r.  The generator element alpha is the
-residue of x, which is primitive whenever the modulus is.  On top of
-that sit the cyclotomic coset of an exponent, the minimal polynomial of
-alpha^N (the product of (x + alpha^(N 2^j)) over the coset, which lands
-back in GF(2)[x]), and explicit solutions of recurrences whose
-characteristic polynomial is an irreducible power.
+A field element is a residue mask modulo an irreducible polynomial of
+degree r (bit i = coefficient of x^i, value below 2^r); alpha is the
+residue of x, a generator whenever the modulus is primitive.  The
+keystream decimates the data stream at stride 2^L1 - 1, so its base
+polynomial is the minimal polynomial of alpha^(2^L1 - 1): the first
+linear dependency among the powers of that element.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .gf2poly import Gf2Poly, is_irreducible, is_primitive, poly_powmod
+from .gf2poly import X, Gf2Poly, _divmod_bits, _mul_bits
+from .gf2poly import is_irreducible, is_primitive, poly_powmod
 
-__all__ = [
-    "FieldContext",
-    "FieldElement",
-    "cyclotomic_coset",
-    "minimal_polynomial_of_power",
-    "evaluate_solution",
-]
+__all__ = ["cyclotomic_coset", "minimal_polynomial_of_power", "evaluate_solution"]
 
 
-class FieldContext:
-    """GF(2^r) presented as GF(2)[x] modulo an irreducible polynomial."""
-
-    __slots__ = ("modulus", "r", "order")
-
-    def __init__(self, modulus: Gf2Poly):
-        if not is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus} is reducible")
-        self.modulus = modulus
-        self.r = modulus.degree
-        self.order = (1 << self.r) - 1
-
-    def element(self, value) -> "FieldElement":
-        """Wrap an int coefficient mask or Gf2Poly, reducing mod the modulus."""
-        bits = value.bits if isinstance(value, Gf2Poly) else int(value)
-        return FieldElement(self, (Gf2Poly(bits) % self.modulus).bits)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (Gf2Poly(1) % self.modulus).bits)
-
-    def alpha(self) -> "FieldElement":
-        """The residue of x, a generator when the modulus is primitive."""
-        return FieldElement(self, (Gf2Poly(2) % self.modulus).bits)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((FieldContext, self.modulus))
-
-    def __repr__(self):
-        return f"FieldContext({self.modulus!r})"
-
-
-class FieldElement:
-    """Element of a FieldContext; never mixes with another context."""
-
-    __slots__ = ("ctx", "bits")
-
-    def __init__(self, ctx: FieldContext, bits: int):
-        self.ctx = ctx
-        self.bits = bits
-
-    def _same(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if self.ctx != other.ctx:
-            raise ValueError("elements belong to different field contexts")
-
-    def __add__(self, other):
-        self._same(other)
-        return FieldElement(self.ctx, self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        self._same(other)
-        prod = Gf2Poly(self.bits) * Gf2Poly(other.bits)
-        return FieldElement(self.ctx, (prod % self.ctx.modulus).bits)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        return FieldElement(
-            self.ctx, poly_powmod(Gf2Poly(self.bits), k, self.ctx.modulus).bits
-        )
-
-    def trace(self) -> int:
-        """Conjugate sum over GF(2): always 0 or 1."""
-        acc = 0
-        cur = self
-        for _ in range(self.ctx.r):
-            acc ^= cur.bits
-            cur = cur * cur
-        if acc not in (0, 1):
-            raise RuntimeError("trace left the base field")  # impossible
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.ctx == other.ctx and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((FieldElement, self.ctx.modulus.bits, self.bits))
-
-    def __bool__(self):
-        return bool(self.bits)
-
-    def __repr__(self):
-        return f"FieldElement({self.ctx.modulus.to_bitstring()}, {Gf2Poly(self.bits).to_bitstring()})"
+def _mulmod(a: int, b: int, m: int) -> int:
+    return _divmod_bits(_mul_bits(a, b), m)[1]
 
 
 def cyclotomic_coset(n: int, modulus_order: int) -> list[int]:
@@ -142,58 +43,65 @@ def cyclotomic_coset(n: int, modulus_order: int) -> list[int]:
 def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
     """Minimal polynomial of alpha^n, alpha a root of the primitive p2.
 
-    The product of (x + alpha^e) over the cyclotomic coset of n has all
-    coefficients in GF(2); it is irreducible of degree |coset|.  Any
-    n >= 0 is accepted and reduced modulo the group order.
+    Reduces beta^0, beta^1, ... (beta = alpha^n) against the residues of
+    the lower powers, tracking which powers each pivot combines; the
+    first power that reduces to zero closes the minimal polynomial,
+    irreducible of degree |cyclotomic coset of n|.  Any n >= 0 is
+    accepted and reduced modulo the group order.
     """
     if not is_primitive(p2):
         raise ValueError(f"{p2} is not primitive")
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    ctx = FieldContext(p2)
-    coset = cyclotomic_coset(n % ctx.order, ctx.order)
-    alpha = ctx.alpha()
-    # Coefficient list of the growing product, ascending, over the field.
-    coeffs = [ctx.one()]
-    for e in coset:
-        root = alpha ** e
-        nxt = [ctx.zero()] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += c * root
-        coeffs = nxt
-    if any(c.bits > 1 for c in coeffs):
-        raise RuntimeError("conjugate product left GF(2)")  # impossible
-    result = Gf2Poly.from_coeffs(c.bits for c in coeffs)
+    beta = poly_powmod(X, n, p2).bits
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (residue, powers)
+    power, k = 1, 0
+    while True:
+        residue, powers = power, 1 << k
+        while residue and residue.bit_length() in pivots:
+            row, used = pivots[residue.bit_length()]
+            residue, powers = residue ^ row, powers ^ used
+        if not residue:
+            break
+        pivots[residue.bit_length()] = (residue, powers)
+        power, k = _mulmod(power, beta, p2.bits), k + 1
+    result = Gf2Poly(powers)
+    order = (1 << p2.degree) - 1
+    coset = cyclotomic_coset(n % order, order)
     if result.degree != len(coset) or not is_irreducible(result):
-        raise RuntimeError("conjugate product is not a minimal polynomial")
+        raise RuntimeError("first dependency is not a minimal polynomial")
     return result
 
 
 def evaluate_solution(
-    ctx: FieldContext, multiplicity: int, coeffs: Sequence["FieldElement"], n: int
+    modulus: Gf2Poly, multiplicity: int, coeffs: Sequence[int], n: int
 ) -> int:
     """Bit n of the recurrence solution determined by the coefficients.
 
-    The solution family for a characteristic polynomial P^p is indexed by
-    p field elements A_0..A_(p-1); term n is the conjugate (trace) sum of
-    binom(n, m) A_m alpha^n over m, with binomial parity by bit-mask
-    containment, so the result is a single bit.
+    The solution family for a characteristic polynomial P^p (P = modulus,
+    irreducible of degree r) is indexed by p residues A_0..A_(p-1) below
+    2^r; term n is the trace of sum binom(n, m) A_m alpha^n over m, with
+    binomial parity by bit-mask containment, so the result is one bit.
     """
+    if not is_irreducible(modulus):
+        raise ValueError(f"modulus {modulus} is reducible")
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     if len(coeffs) != multiplicity:
-        raise ValueError(
-            f"expected {multiplicity} coefficients, got {len(coeffs)}"
-        )
+        raise ValueError(f"expected {multiplicity} coefficients, got {len(coeffs)}")
     if n < 0:
         raise ValueError("time index must be nonnegative")
-    acc = ctx.zero()
+    acc = 0
     for m, a in enumerate(coeffs):
-        if a.ctx != ctx:
-            raise ValueError("coefficient from a different field context")
+        if not isinstance(a, int) or not 0 <= a < 1 << modulus.degree:
+            raise ValueError(f"coefficient {a!r} is not a residue mod {modulus}")
         if (n & m) == m:  # binom(n, m) odd
-            acc += a
-    if not acc:
-        return 0
-    return (acc * ctx.alpha() ** n).trace()
+            acc ^= a
+    cur = _mulmod(acc, poly_powmod(X, n, modulus).bits, modulus.bits)
+    trace = 0
+    for _ in range(modulus.degree):
+        trace ^= cur
+        cur = _mulmod(cur, cur, modulus.bits)
+    if trace not in (0, 1):
+        raise RuntimeError("trace left the base field")  # impossible
+    return trace

@@ -2,10 +2,12 @@
 
 The oracles deliberately avoid the library's fast paths: list-based long
 division, trial-division factor search, exact integer characteristic
-polynomials, linear-system recurrence search, a bit-by-bit register and
-a literal generate-then-filter keystream, Berlekamp-Massey over a
-full-window history register, and a bit-by-bit annihilation scan.  Tests compare the production code
-against these slower routes.
+polynomials of nested-list transition matrices, linear-system
+recurrence search, a bit-by-bit register and a literal
+generate-then-filter keystream, Berlekamp-Massey over a full-window
+history register, a bit-by-bit annihilation scan, and minimal
+polynomials by exhaustive Horner evaluation.  Tests compare the
+production code against these slower routes.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from shrinkca import (
     Lfsr,
     RuleVector,
     ShrinkingGenerator,
+    X,
     is_primitive,
-    transition_matrix,
 )
 
 # --- golden vectors (hand-checked reference data) -------------------------
@@ -154,9 +156,28 @@ def brute_min_recurrence(window: list[int]) -> tuple[int, Gf2Poly | None]:
     raise AssertionError("unreachable: lc = n always consistent")
 
 
+def transition_matrix(rules: RuleVector) -> list[list[int]]:
+    """Tridiagonal 0/1 matrix M with M[i][i] = delta_i and ones beside it.
+
+    One automaton step is the matrix-vector product over GF(2).
+    """
+    L = len(rules)
+    m = [[0] * L for _ in range(L)]
+    for i, d in enumerate(rules.delta):
+        m[i][i] = d
+        if i + 1 < L:
+            m[i][i + 1] = m[i + 1][i] = 1
+    return m
+
+
+def mat_vec_mod2(m: list[list[int]], vec: list[int]) -> list[int]:
+    """Row-by-row dot products over GF(2)."""
+    return [sum(a & b for a, b in zip(row, vec)) % 2 for row in m]
+
+
 def exact_char_poly_mod2(rules: RuleVector) -> Gf2Poly:
     """det(xI - M) over the integers (sympy), reduced mod 2."""
-    m = sympy.Matrix(transition_matrix(rules).tolist())
+    m = sympy.Matrix(transition_matrix(rules))
     coeffs = m.charpoly().all_coeffs()  # descending, exact ints
     return Gf2Poly.from_coeffs([int(c) % 2 for c in reversed(coeffs)])
 
@@ -215,6 +236,23 @@ def loop_annihilation(q: Gf2Poly, multiplicity: int, seq) -> bool:
         if (mask_poly.bits & (packed >> n)).bit_count() & 1:
             return False
     return True
+
+
+def smallest_annihilator_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
+    """Smallest nonzero mask q with q(beta) = 0 mod p2, beta = x^n, by Horner.
+
+    The minimal polynomial has the least degree of any annihilator and
+    is the only one of that degree, so it is also the smallest mask.  It
+    has constant term 1 (beta is nonzero), so only odd masks are tried.
+    """
+    beta = (X**n) % p2
+    for bits in range(1, 1 << (p2.degree + 1), 2):
+        acc = Gf2Poly(0)
+        for i in range(bits.bit_length() - 1, -1, -1):
+            acc = (acc * beta + Gf2Poly((bits >> i) & 1)) % p2
+        if not acc:
+            return Gf2Poly(bits)
+    raise AssertionError("every element has a minimal polynomial of degree <= r")
 
 
 def naive_period(seq) -> int:

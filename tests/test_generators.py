@@ -61,6 +61,14 @@ class TestLfsr:
         with pytest.raises(ValueError):
             Lfsr(Gf2Poly.parse("1"), [])
 
+    @pytest.mark.parametrize("bad", [2, 1.5, 1.7, -1])
+    def test_seed_bits_must_be_binary(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Lfsr(Gf2Poly.parse("111"), [bad, 0])
+
+    def test_bool_seed_bits_are_ints(self):
+        assert Lfsr(Gf2Poly.parse("111"), [True, False]).state == (1, 0)
+
     def test_pn_period_and_balance(self):
         # Primitive polynomial of degree r: every nonzero seed gives period
         # exactly 2^r - 1 with 2^(r-1) ones per period.

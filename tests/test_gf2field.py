@@ -5,7 +5,6 @@ import pytest
 
 import conftest as cf
 from shrinkca import (
-    FieldContext,
     Gf2Poly,
     Lfsr,
     berlekamp_massey,
@@ -14,6 +13,7 @@ from shrinkca import (
     decimate_by_stride,
     evaluate_solution,
     is_irreducible,
+    is_primitive,
     minimal_polynomial_of_power,
     poly_powmod,
     X,
@@ -45,34 +45,25 @@ class TestCyclotomicCoset:
 
 class TestFieldElements:
     def test_alpha_has_full_order(self):
-        ctx = FieldContext(Gf2Poly.parse("11001"))
-        a = ctx.alpha()
-        assert a ** ctx.order == ctx.one()
-        seen = {(a**k).bits for k in range(ctx.order)}
-        assert len(seen) == ctx.order
-
-    def test_contexts_do_not_mix(self):
-        ctx1 = FieldContext(Gf2Poly.parse("11001"))
-        ctx2 = FieldContext(Gf2Poly.parse("101001"))
-        with pytest.raises(ValueError, match="different field"):
-            ctx1.alpha() + ctx2.alpha()
+        p = Gf2Poly.parse("11001")
+        order = (1 << p.degree) - 1
+        assert poly_powmod(X, order, p) == ONE
+        seen = {poly_powmod(X, k, p).bits for k in range(order)}
+        assert len(seen) == order
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
-            FieldContext(Gf2Poly.parse("101"))  # (1+x)^2
-
-    def test_element_reduction(self):
-        ctx = FieldContext(Gf2Poly.parse("11001"))
-        assert ctx.element(Gf2Poly.parse("x^7")) == ctx.element(0b1011)  # x^3+x+1
+            evaluate_solution(Gf2Poly.parse("101"), 1, [1], 0)  # (1+x)^2
 
     def test_trace_is_binary_and_additive(self):
-        ctx = FieldContext(Gf2Poly.parse("101001"))
+        modulus = Gf2Poly.parse("101001")
         rng = random.Random(3)
         for _ in range(50):
-            u = ctx.element(rng.randrange(1 << ctx.r))
-            v = ctx.element(rng.randrange(1 << ctx.r))
-            assert u.trace() in (0, 1)
-            assert (u + v).trace() == u.trace() ^ v.trace()
+            u = rng.randrange(1 << modulus.degree)
+            v = rng.randrange(1 << modulus.degree)
+            tu, tv = (evaluate_solution(modulus, 1, [a], 0) for a in (u, v))
+            assert tu in (0, 1)
+            assert evaluate_solution(modulus, 1, [u ^ v], 0) == tu ^ tv
 
 
 class TestMinimalPolynomial:
@@ -108,6 +99,25 @@ class TestMinimalPolynomial:
                 # Roots live in GF(2^r): x^(2^r - 1) = 1 mod q.
                 assert poly_powmod(X, order, q) == ONE
 
+    def test_matches_horner_oracle(self):
+        # Every primitive polynomial of degree <= 6, every exponent up to
+        # the group order + 1: 648 cases, subfield exponents included.
+        p2 = Gf2Poly.parse("1100001")  # 1 + x + x^6
+        assert minimal_polynomial_of_power(p2, 9) == Gf2Poly.parse("1011")
+        assert minimal_polynomial_of_power(p2, 21) == Gf2Poly.parse("111")
+        cases = 0
+        for r in range(1, 7):
+            order = (1 << r) - 1
+            for bits in range(1 << r, 1 << (r + 1)):
+                p2 = Gf2Poly(bits)
+                if not is_primitive(p2):
+                    continue
+                for n in range(order + 2):
+                    want = cf.smallest_annihilator_of_power(p2, n)
+                    assert minimal_polynomial_of_power(p2, n) == want
+                    cases += 1
+        assert cases == 648
+
     def test_matches_stride_decimation_sweep(self):
         # For coprime register lengths, the data stream decimated at the
         # control period is a register stream whose polynomial is the
@@ -128,55 +138,72 @@ class TestMinimalPolynomial:
 class TestRecurrenceSolutions:
     def test_trace_solution_annihilated(self):
         base = Gf2Poly.parse(cf.BASE5)
-        ctx = FieldContext(base)
-        seq = [evaluate_solution(ctx, 1, [ctx.one()], n) for n in range(80)]
+        seq = [evaluate_solution(base, 1, [1], n) for n in range(80)]
         assert check_annihilation(base, 1, seq)
         assert any(seq)
 
     def test_zero_coefficients_zero_sequence(self):
-        ctx = FieldContext(Gf2Poly.parse("11001"))
-        zeros = [ctx.zero()] * 3
-        assert [evaluate_solution(ctx, 3, zeros, n) for n in range(30)] == [0] * 30
+        modulus = Gf2Poly.parse("11001")
+        assert [evaluate_solution(modulus, 3, [0] * 3, n) for n in range(30)] == [0] * 30
 
     def test_multiplicity_two_needs_squared_operator(self):
         base = Gf2Poly.parse("111")  # x^2 + x + 1
-        ctx = FieldContext(base)
-        coeffs = [ctx.zero(), ctx.alpha()]
-        seq = [evaluate_solution(ctx, 2, coeffs, n) for n in range(60)]
+        coeffs = [0, X.bits]
+        seq = [evaluate_solution(base, 2, coeffs, n) for n in range(60)]
         assert check_annihilation(base, 2, seq)
         assert not check_annihilation(base, 1, seq)
 
     def test_solution_map_is_additive(self):
         base = Gf2Poly.parse("1011")
-        ctx = FieldContext(base)
         rng = random.Random(11)
         for _ in range(20):
             p = rng.randrange(1, 5)
-            a = [ctx.element(rng.randrange(1 << ctx.r)) for _ in range(p)]
-            b = [ctx.element(rng.randrange(1 << ctx.r)) for _ in range(p)]
-            both = [x + y for x, y in zip(a, b)]
+            a = [rng.randrange(1 << base.degree) for _ in range(p)]
+            b = [rng.randrange(1 << base.degree) for _ in range(p)]
+            both = [x ^ y for x, y in zip(a, b)]
             for n in range(40):
-                assert evaluate_solution(ctx, p, both, n) == evaluate_solution(
-                    ctx, p, a, n
-                ) ^ evaluate_solution(ctx, p, b, n)
+                assert evaluate_solution(base, p, both, n) == evaluate_solution(
+                    base, p, a, n
+                ) ^ evaluate_solution(base, p, b, n)
 
     def test_every_solution_annihilated_by_power(self):
         base = Gf2Poly.parse("1011")
-        ctx = FieldContext(base)
         rng = random.Random(12)
         for _ in range(15):
             p = rng.randrange(1, 4)
-            a = [ctx.element(rng.randrange(1 << ctx.r)) for _ in range(p)]
-            seq = [evaluate_solution(ctx, p, a, n) for n in range(3 * base.degree * p + 10)]
+            a = [rng.randrange(1 << base.degree) for _ in range(p)]
+            seq = [evaluate_solution(base, p, a, n) for n in range(3 * base.degree * p + 10)]
             assert check_annihilation(base, p, seq)
 
+    @pytest.mark.parametrize("base_text", ["111", "1011"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_solutions_are_every_register_stream(self, base_text, p):
+        # The paper's claim: the trace formulas give all solutions of the
+        # recurrence with characteristic polynomial base^p, no more and
+        # no fewer.  2rp bits pin down a stream of complexity <= rp.
+        base = Gf2Poly.parse(base_text)
+        r, n = base.degree, 2 * base.degree * p
+
+        def split(k, width, parts):
+            return [(k >> (width * m)) & ((1 << width) - 1) for m in range(parts)]
+
+        explicit = {
+            tuple(evaluate_solution(base, p, split(k, r, p), t) for t in range(n))
+            for k in range(1 << (r * p))
+        }
+        registers = {
+            tuple(Lfsr(base**p, split(k, 1, r * p)).sequence(n))
+            for k in range(1 << (r * p))
+        }
+        assert len(registers) == 1 << (r * p)
+        assert explicit == registers
+
     def test_wrong_coefficient_count_raises(self):
-        ctx = FieldContext(Gf2Poly.parse("111"))
         with pytest.raises(ValueError, match="coefficients"):
-            evaluate_solution(ctx, 2, [ctx.one()], 0)
+            evaluate_solution(Gf2Poly.parse("111"), 2, [1], 0)
 
     def test_foreign_coefficient_raises(self):
-        ctx = FieldContext(Gf2Poly.parse("111"))
-        other = FieldContext(Gf2Poly.parse("1011"))
-        with pytest.raises(ValueError, match="different field"):
-            evaluate_solution(ctx, 1, [other.one()], 0)
+        # 0b100 is a residue mod a cubic, not mod the quadratic 1+x+x^2.
+        for bad in (0b100, -1, Gf2Poly.parse("1"), 1.0):
+            with pytest.raises(ValueError, match="not a residue"):
+                evaluate_solution(Gf2Poly.parse("111"), 1, [bad], 0)
