@@ -5,6 +5,11 @@ additionally XORs the cell itself; virtual always-zero cells sit beyond
 both ends.  Cells are numbered 1..L in prose; in code and wire formats
 everything is 0-based with cell 1 leftmost.  States are packed into int
 words, bit i = cell i+1, so one step is two shifts and a mask.
+
+Cell 1 observes the whole state: its bit at time k depends on cell k+1
+and on no cell beyond, so its first L bits fix the state, and its streams
+fill the L-dimensional solution space of chi(E) y = 0 (chi the
+characteristic polynomial) that every cell's stream lies in.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ __all__ = [
 class RuleVector:
     """Per-cell rule assignment: 0 = rule 90, 1 = rule 150.
 
-    Wire form is ``^[01]+$`` with cell 1 leftmost.
+    Held as the packed mask of rule-150 cells (bit i = cell i+1) and the
+    length.  Wire form is ``^[01]+$`` with cell 1 leftmost; vectors order
+    as their wire forms do.
     """
 
-    __slots__ = ("delta", "mask150", "_mask_all")
+    __slots__ = ("mask150", "_length")
 
     def __init__(self, delta):
         delta = tuple(delta)
@@ -39,22 +46,25 @@ class RuleVector:
             raise ValueError("a rule vector needs at least one cell")
         if any(d not in (0, 1) for d in delta):
             raise ValueError("rule bits must be 0 or 1")
-        self.delta = delta = tuple(map(int, delta))
-        self.mask150 = sum(d << i for i, d in enumerate(delta))
-        self._mask_all = (1 << len(delta)) - 1
+        self.mask150, self._length = _numeral(delta[::-1]), len(delta)
 
     @classmethod
     def parse(cls, text: str) -> "RuleVector":
         s = text.strip()
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"not a rule string: {text!r}")
-        return cls(int(c) for c in s)
+        return cls(map(int, s))
+
+    @property
+    def delta(self) -> tuple[int, ...]:
+        """The rule bits, cell 1 first."""
+        return tuple(map(int, str(self)))
 
     def mirror(self) -> "RuleVector":
-        return RuleVector(self.delta[::-1])
+        return RuleVector.parse(str(self)[::-1])
 
     def __len__(self):
-        return len(self.delta)
+        return self._length
 
     def __iter__(self):
         return iter(self.delta)
@@ -62,18 +72,18 @@ class RuleVector:
     def __eq__(self, other):
         if not isinstance(other, RuleVector):
             return NotImplemented
-        return self.delta == other.delta
+        return self._length == other._length and self.mask150 == other.mask150
 
     def __lt__(self, other):
         if not isinstance(other, RuleVector):
             return NotImplemented
-        return self.delta < other.delta
+        return str(self) < str(other)
 
     def __hash__(self):
-        return hash((RuleVector, self.delta))
+        return hash((RuleVector, self._length, self.mask150))
 
     def __str__(self):
-        return "".join(str(d) for d in self.delta)
+        return format(self.mask150, f"0{self._length}b")[::-1]
 
     def __repr__(self):
         return f"RuleVector.parse({str(self)!r})"
@@ -91,26 +101,19 @@ def state_to_bits(state: int, length: int) -> list[int]:
     return [(state >> i) & 1 for i in range(length)]
 
 
-def _check_state(rules: RuleVector, state: int) -> None:
-    if not isinstance(state, int) or not 0 <= state <= rules._mask_all:
-        raise ValueError(
-            f"state does not fit an automaton of length {len(rules)}"
-        )
-
-
 def ca_step(rules: RuleVector, state: int) -> int:
     """Advance one time step under the per-cell rules."""
-    _check_state(rules, state)
-    return ((state << 1) ^ (state >> 1) ^ (state & rules.mask150)) & rules._mask_all
+    return ca_run(rules, state, 1)[1]
 
 
 def ca_run(rules: RuleVector, state: int, steps: int) -> list[int]:
     """States at times 0..steps inclusive."""
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    _check_state(rules, state)
+    if not isinstance(state, int) or not 0 <= state < (1 << len(rules)):
+        raise ValueError(f"state does not fit an automaton of length {len(rules)}")
     out = [state]
-    mask150, mask_all = rules.mask150, rules._mask_all
+    mask150, mask_all = rules.mask150, (1 << len(rules)) - 1
     for _ in range(steps):
         state = ((state << 1) ^ (state >> 1) ^ (state & mask150)) & mask_all
         out.append(state)
@@ -124,18 +127,18 @@ def cell_output(states: Sequence[int], cell: int) -> list[int]:
     return [(s >> cell) & 1 for s in states]
 
 
-def _char_poly_bits(delta: Sequence[int]) -> int:
+def _char_poly_bits(mask150: int, length: int) -> int:
     # Three-term recurrence for the leading principal minors of x*I + M:
     # P_0 = 1, P_k = (x + d_k) P_(k-1) + P_(k-2).
-    prev, cur = 1, 2 | delta[0]
-    for d in delta[1:]:
-        prev, cur = cur, (cur << 1) ^ (cur if d else 0) ^ prev
+    prev, cur = 1, 2 | (mask150 & 1)
+    for k in range(1, length):
+        prev, cur = cur, (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
     return cur
 
 
 def ca_char_poly(rules: RuleVector) -> Gf2Poly:
     """Characteristic polynomial of the transition matrix, degree L."""
-    return Gf2Poly(_char_poly_bits(rules.delta))
+    return Gf2Poly(_char_poly_bits(rules.mask150, len(rules)))
 
 
 def fit_initial_state(
@@ -143,45 +146,26 @@ def fit_initial_state(
 ) -> Optional[tuple[int, int]]:
     """Find (cell, initial state) whose cell output reproduces `target`.
 
-    Solves the 2L observation equations of each cell in ascending order
-    (free variables zeroed), then verifies the candidate against the
-    whole target; returns the first success or None.  2L rows rather
-    than L absorb rank deficiency of a single observed cell.
+    The cell is always 0: cell 1 observes the whole state, so if any
+    cell replays the target, cell 1 does.  Its first L bits give the
+    state by the backward recurrence x_(k+1)(t) = x_k(t+1) + d_k x_k(t)
+    + x_(k-1)(t), run on one packed int; the automaton then replays from
+    that state over the whole target, stopping at the first mismatch.
+    Returns (0, state) or None.  The target needs 2L or more 0/1 bits.
     """
     L = len(rules)
     if len(target) < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
-    mask_all = rules._mask_all
-    for cell in range(L):
-        # Row n of the system is e_cell M^n; the matrix is symmetric, so
-        # rows evolve by the same stepping as states.
-        rows = ca_run(rules, 1 << cell, 2 * L - 1)
-        basis: dict[int, int] = {}
-        consistent = True
-        for n, row in enumerate(rows):
-            cur = row | ((target[n] & 1) << L)
-            while True:
-                low = cur & mask_all
-                if low == 0:
-                    consistent = cur >> L == 0
-                    break
-                col = (low & -low).bit_length() - 1
-                if col in basis:
-                    cur ^= basis[col]
-                else:
-                    basis[col] = cur
-                    break
-            if not consistent:
-                break
-        if not consistent:
-            continue
-        state = 0
-        for col in sorted(basis, reverse=True):
-            row = basis[col]
-            val = (row >> L) ^ ((row & mask_all & state).bit_count() & 1)
-            if val & 1:
-                state |= 1 << col
-        produced = cell_output(ca_run(rules, state, len(target) - 1), cell)
-        if produced == list(target):
-            return cell, state
-    return None
+    mask150, mask_all = rules.mask150, (1 << L) - 1
+    # Bit L-1-t of cur is cell k+1 at time t, of prev cell k.
+    prev, cur, state = 0, _numeral(target) >> (len(target) - L), 0
+    for k in range(L):
+        state |= (cur >> (L - 1)) << k
+        nxt = (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
+        prev, cur = cur, nxt & mask_all
+    replay = state
+    for bit in target:
+        if (replay & 1) != bit:
+            return None
+        replay = ((replay << 1) ^ (replay >> 1) ^ (replay & mask150)) & mask_all
+    return 0, state

@@ -53,6 +53,12 @@ def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
         raise ValueError(f"{p2} is not primitive")
     if n < 0:
         raise ValueError("exponent must be nonnegative")
+    return _minimal_polynomial_of_power(p2, n)
+
+
+def _minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
+    """`minimal_polynomial_of_power` for a p2 already known to be
+    primitive and an n >= 0."""
     beta = poly_powmod(X, n, p2).bits
     pivots: dict[int, tuple[int, int]] = {}  # top bit -> (residue, powers)
     power, k = 1, 0

@@ -29,7 +29,10 @@ _TERM = re.compile(r"1|x(\^\d+)?")
 
 def _numeral(seq) -> int:
     """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
-    raw = seq if isinstance(seq, bytes) else bytes(list(seq))
+    try:
+        raw = seq if isinstance(seq, bytes) else bytes(list(seq))
+    except (TypeError, ValueError):  # an item that is not an int in range(256)
+        raise ValueError("sequence bits must be 0 or 1") from None
     if raw.translate(None, b"\0\1"):
         raise ValueError("sequence bits must be 0 or 1")
     return int(raw.translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import RuleVector, _char_poly_bits
-from .gf2field import minimal_polynomial_of_power
+from .gf2field import _minimal_polynomial_of_power
 from .gf2poly import Gf2Poly, is_irreducible, is_primitive
 
 __all__ = [
@@ -77,9 +77,8 @@ def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
     target = p.bits
     found = []
     for m in range(1 << r):
-        delta = [(m >> i) & 1 for i in range(r)]
-        if _char_poly_bits(delta) == target:
-            found.append(RuleVector(delta))
+        if _char_poly_bits(m, r) == target:
+            found.append(RuleVector.parse(format(m, f"0{r}b")[::-1]))
     found.sort()
     if not 1 <= len(found) <= 2:
         raise RuntimeError(
@@ -101,8 +100,14 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
         raise ValueError("control length must be >= 1")
     if not is_primitive(p2):
         raise ValueError(f"data polynomial {p2} must be primitive")
+    return _linearize(l1, p2)
+
+
+def _linearize(l1: int, p2: Gf2Poly) -> LinearizationResult:
+    """`linearize_shrinking_generator` for an l1 >= 1 and a p2 already
+    known to be primitive: each public caller tests p2 once."""
     n = (1 << l1) - 1
-    base = minimal_polynomial_of_power(p2, n)
+    base = _minimal_polynomial_of_power(p2, n)
     pair = synthesize_ca_pair(base)
     degenerate = len(pair) == 1
     rules_a, rules_b = (pair[0], pair[0]) if degenerate else pair

@@ -5,8 +5,9 @@ division, trial-division factor search, exact integer characteristic
 polynomials of nested-list transition matrices, linear-system
 recurrence search, a bit-by-bit register and a literal
 generate-then-filter keystream, Berlekamp-Massey over a full-window
-history register, a bit-by-bit annihilation scan, and minimal
-polynomials by exhaustive Horner evaluation.  Tests compare the
+history register, a bit-by-bit annihilation scan, minimal
+polynomials by exhaustive Horner evaluation, and initial-state fits by
+Gaussian elimination over every cell's observation equations.  Tests compare the
 production code against these slower routes.
 """
 
@@ -14,7 +15,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 import sympy
+
+import shrinkca.analysis
+import shrinkca.gf2field
+import shrinkca.linearizer
 
 from shrinkca import (
     Gf2Poly,
@@ -22,6 +28,8 @@ from shrinkca import (
     RuleVector,
     ShrinkingGenerator,
     X,
+    ca_run,
+    cell_output,
     is_primitive,
 )
 
@@ -182,6 +190,50 @@ def exact_char_poly_mod2(rules: RuleVector) -> Gf2Poly:
     return Gf2Poly.from_coeffs([int(c) % 2 for c in reversed(coeffs)])
 
 
+def elimination_fit(rules: RuleVector, target) -> tuple[int, int] | None:
+    """(cell, state) whose cell output reproduces the target, or None.
+
+    For each cell in ascending order, eliminates its 2L observation
+    equations (row n is e_cell M^n, stepped like a state since M is
+    symmetric), zeroes the free variables, and replays the candidate
+    over the whole target.
+    """
+    L = len(rules)
+    if len(target) < 2 * L:
+        raise ValueError(f"target must supply at least {2 * L} bits")
+    mask_all = (1 << L) - 1
+    for cell in range(L):
+        basis: dict[int, int] = {}
+        consistent = True
+        for n, row in enumerate(ca_run(rules, 1 << cell, 2 * L - 1)):
+            cur = row | ((target[n] & 1) << L)
+            while True:
+                low = cur & mask_all
+                if low == 0:
+                    consistent = cur >> L == 0
+                    break
+                col = (low & -low).bit_length() - 1
+                if col in basis:
+                    cur ^= basis[col]
+                else:
+                    basis[col] = cur
+                    break
+            if not consistent:
+                break
+        if not consistent:
+            continue
+        state = 0
+        for col in sorted(basis, reverse=True):
+            row = basis[col]
+            val = (row >> L) ^ ((row & mask_all & state).bit_count() & 1)
+            if val & 1:
+                state |= 1 << col
+        produced = cell_output(ca_run(rules, state, len(target) - 1), cell)
+        if produced == list(target):
+            return cell, state
+    return None
+
+
 def literal_lfsr(reg: Lfsr, n: int) -> list[int]:
     """One output bit at a time from the recurrence a_k = sum a_(k-r+j)."""
     r = reg.length
@@ -253,6 +305,20 @@ def smallest_annihilator_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
         if not acc:
             return Gf2Poly(bits)
     raise AssertionError("every element has a minimal polynomial of degree <= r")
+
+
+@pytest.fixture
+def primitivity_calls(monkeypatch) -> list[Gf2Poly]:
+    """Every polynomial the pipeline modules test for primitivity, in order."""
+    calls: list[Gf2Poly] = []
+
+    def counted(p: Gf2Poly) -> bool:
+        calls.append(p)
+        return is_primitive(p)
+
+    for module in (shrinkca.analysis, shrinkca.gf2field, shrinkca.linearizer):
+        monkeypatch.setattr(module, "is_primitive", counted)
+    return calls
 
 
 def naive_period(seq) -> int:

@@ -10,6 +10,7 @@ from shrinkca import (
     ShrinkingGenerator,
     berlekamp_massey,
     check_annihilation,
+    fit_initial_state,
     lc_bounds,
     minimal_polynomial_of_power,
     sequence_period,
@@ -270,6 +271,46 @@ class TestVerifyLinearization:
         )
         with pytest.raises(ValueError, match="nonzero"):
             verify_linearization(zeroseed)
+
+    def test_check_order(self):
+        # Data polynomial before seeds, control polynomial before both.
+        gen = ShrinkingGenerator(cf.make_lfsr("1011", "000"), cf.make_lfsr("11111", "0000"))
+        with pytest.raises(ValueError, match="data polynomial 11111 must be primitive"):
+            verify_linearization(gen)
+        gen = ShrinkingGenerator(cf.make_lfsr("1111", "000"), cf.make_lfsr("11111", "0000"))
+        with pytest.raises(ValueError, match="control polynomial 1111 must be primitive"):
+            verify_linearization(gen)
+
+    def test_each_polynomial_tested_for_primitivity_once(self, primitivity_calls):
+        gen = cf.gen_b()
+        verify_linearization(gen)
+        assert primitivity_calls == [gen.r1.charpoly, gen.r2.charpoly]
+
+    def test_only_rules_a_is_fitted(self, monkeypatch):
+        # rules_b has the same characteristic polynomial, hence the same
+        # cell-1 solution space: a window rules_a cannot replay is not
+        # retried on it.
+        import shrinkca.analysis
+
+        fitted = []
+
+        def counted(rules, target):
+            fitted.append(rules)
+            return fit_initial_state(rules, target)
+
+        monkeypatch.setattr(shrinkca.analysis, "fit_initial_state", counted)
+        report = verify_linearization(cf.gen_b())
+        assert report.verdict and report.matched_cell == 0
+        assert fitted == [report.linearization.rules_a] == [report.matched_rules]
+        window = cf.gen_b().shrunken_sequence(report.window_length)
+        window[-1] ^= 1
+        monkeypatch.setattr(
+            ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
+        )
+        report = verify_linearization(cf.gen_b())
+        assert not report.verdict and report.matched_rules is None
+        assert fitted[1:] == [report.linearization.rules_a]
+        assert fit_initial_state(report.linearization.rules_b, window) is None
 
     def test_linearization_ignores_control_polynomial(self):
         # Two generators sharing (l1, p2) but with different control

@@ -1,6 +1,10 @@
 import random
+import time
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as cf
 from shrinkca import (
@@ -50,6 +54,30 @@ class TestRuleVector:
         assert RuleVector.parse("01111") < RuleVector.parse("11110")
         assert RuleVector.parse("01") == RuleVector((0, 1))
 
+    def test_packed_form_matches_tuple_oracle(self):
+        # Every vector of length 1..8 against its tuple: text, bits,
+        # length, mirror, order (prefixes first, as tuples sort), and
+        # equality and hash, which must not confuse "0" with "00".
+        tuples = [t for n in range(1, 9) for t in product((0, 1), repeat=n)]
+        vectors = [RuleVector(t) for t in tuples]
+        for t, rv in zip(tuples, vectors):
+            text = "".join(map(str, t))
+            assert str(rv) == text and rv.delta == t and list(rv) == list(t)
+            assert len(rv) == len(t)
+            parsed = RuleVector.parse(text)
+            assert parsed == rv and hash(parsed) == hash(rv)
+            assert rv.mirror() == RuleVector(t[::-1])
+            assert rv.mask150 == sum(d << i for i, d in enumerate(t))
+        order = sorted(range(len(tuples)), key=tuples.__getitem__)
+        assert sorted(vectors) == [vectors[i] for i in order]
+        assert len(set(vectors)) == len(tuples)
+        rng = random.Random(14)
+        for _ in range(20000):
+            i, j = rng.randrange(len(tuples)), rng.randrange(len(tuples))
+            a, b = vectors[i], vectors[j]
+            assert (a == b) == (tuples[i] == tuples[j])
+            assert (a < b) == (tuples[i] < tuples[j])
+
 
 class TestStatePacking:
     def test_roundtrip(self):
@@ -61,6 +89,11 @@ class TestStatePacking:
             state_to_bits(4, 2)
         with pytest.raises(ValueError):
             state_from_bits([0, 2])
+
+    @pytest.mark.parametrize("bad", [[0, -1], [0, 256], [1.5, 0], [0, "1"], [0, None]])
+    def test_every_non_bit_is_named(self, bad):
+        with pytest.raises(ValueError, match="sequence bits must be 0 or 1"):
+            state_from_bits(bad)
 
 
 class TestStep:
@@ -205,3 +238,59 @@ class TestFitInitialState:
         rules = RuleVector.parse("0111")
         with pytest.raises(ValueError, match="at least 8"):
             fit_initial_state(rules, [0] * 7)
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, 1.5, "1"])
+    def test_non_bit_target_rejected(self, bad):
+        target = [0] * 8
+        target[5] = bad
+        with pytest.raises(ValueError, match="sequence bits must be 0 or 1"):
+            fit_initial_state(RuleVector.parse("0111"), target)
+
+    def test_matches_elimination_oracle(self):
+        # Targets: some cell's stream, the same with one bit flipped
+        # (half of the flips beyond bit 2L), uniform random bits, zeros.
+        rng = random.Random(15)
+        fitted = 0
+        for case in range(2400):
+            length = rng.randrange(1, 25)
+            n = rng.randrange(2 * length, 5 * length + 1)
+            rules = RuleVector([rng.randrange(2) for _ in range(length)])
+            kind = case % 4
+            if kind in (0, 1):
+                cell = rng.randrange(length)
+                states = ca_run(rules, rng.randrange(1 << length), n - 1)
+                target = cell_output(states, cell)
+                if kind == 1:
+                    beyond = case % 8 == 1 and n > 2 * length
+                    target[rng.randrange(2 * length if beyond else 0, n)] ^= 1
+            elif kind == 2:
+                target = [rng.randrange(2) for _ in range(n)]
+            else:
+                target = [0] * n
+            got = fit_initial_state(rules, target)
+            assert got == cf.elimination_fit(rules, target), (str(rules), target)
+            fitted += got is not None
+        assert 1200 <= fitted < 2400  # both outcomes well exercised
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_cell_stream_fits_at_cell_zero(self, data):
+        delta = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=32))
+        rules = RuleVector(delta)
+        length = len(rules)
+        state = data.draw(st.integers(0, (1 << length) - 1))
+        cell = data.draw(st.integers(0, length - 1))
+        n = data.draw(st.integers(2 * length, 6 * length))
+        target = cell_output(ca_run(rules, state, n - 1), cell)
+        fit = fit_initial_state(rules, target)
+        assert fit is not None and fit[0] == 0
+        assert cell_output(ca_run(rules, fit[1], n - 1), 0) == target
+
+    def test_unfittable_wide_target_returns_none_fast(self):
+        # A random 640-bit target fits 320 cells with probability 2^-320.
+        rng = random.Random(16)
+        rules = RuleVector([rng.randrange(2) for _ in range(320)])
+        target = [rng.randrange(2) for _ in range(640)]
+        start = time.perf_counter()
+        assert fit_initial_state(rules, target) is None
+        assert time.perf_counter() - start < 0.1

@@ -50,6 +50,11 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             P(bad)
 
+    @pytest.mark.parametrize("bad", [[0, -1], [0, 256], [1.5, 0], [0, 2]])
+    def test_from_coeffs_names_every_non_bit(self, bad):
+        with pytest.raises(ValueError, match="sequence bits must be 0 or 1"):
+            Gf2Poly.from_coeffs(bad)
+
     def test_degree(self):
         assert ZERO.degree == -1
         assert ONE.degree == 0

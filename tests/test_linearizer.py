@@ -141,6 +141,13 @@ class TestLinearize:
         with pytest.raises(ValueError, match="control length"):
             linearize_shrinking_generator(0, Gf2Poly.parse("11001"))
 
+    def test_primitivity_tested_once_per_call(self, primitivity_calls):
+        p2 = Gf2Poly.parse(cf.R2B_POLY)
+        linearize_shrinking_generator(3, p2)
+        assert primitivity_calls == [p2]
+        minimal_polynomial_of_power(p2, 7)
+        assert primitivity_calls == [p2, p2]
+
     def test_noncoprime_lengths_shrink_the_base(self):
         # gcd(4, 4) != 1 puts the power in a small coset; the pipeline still
         # returns a consistent (shorter) pair.
