@@ -4,10 +4,10 @@ Linear complexity is measured with Berlekamp-Massey and reported in the
 same characteristic-polynomial convention the generators use (the
 polynomial annihilates the stream; it is the reciprocal of the feedback
 form some treatments return).  The verdict routine ties everything
-together: synthesize the automaton pair from (L1, P2), measure the
-keystream, confirm the measured polynomial is a bounded power of the
-predicted base, and exhibit a cell plus initial state that replays the
-keystream bit for bit.
+together: synthesize the automaton pair from (L1, P2), exhibit a cell
+plus initial state that replays the keystream bit for bit, measure the
+keystream, and confirm the measured polynomial is a bounded power of
+the predicted base.
 """
 
 from __future__ import annotations
@@ -189,6 +189,8 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     The verdict is true iff some cell of the synthesized pair replays the
     keystream over the full window of twice its period, which holds iff
     cell 1 of rules_a does; a false verdict is a result, not an error.
+    The fit comes first: a replayed window is measured on its first 2L
+    bits (L cells), exactly, and any other window whole.
     """
     r1, r2 = gen.r1, gen.r2
     if not is_primitive(r1.charpoly):
@@ -202,11 +204,16 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     lin = _linearize(l1, r2.charpoly)
     window = gen.shrunken_sequence(2 * period)
 
-    # lin.length bounds LC, so 2 * lin.length bits fix the polynomial; the
-    # whole-window check keeps it exact for a generator beyond the bound.
-    bm = berlekamp_massey(window[: 2 * lin.length])
-    if not check_annihilation(bm.connection_poly, 1, window):
-        bm = berlekamp_massey(window)
+    # rules_b shares the characteristic polynomial of rules_a, so its
+    # cells span the same solution space: fitting it too adds nothing.
+    fit = fit_initial_state(lin.rules_a, window)
+    verdict = fit is not None
+    matched_rules = lin.rules_a if verdict else None
+    matched_cell, initial_state = fit if verdict else (None, None)
+
+    # A replayed window obeys chi(E) of degree L = lin.length, so by
+    # Massey's theorem its first 2L bits fix its polynomial.
+    bm = berlekamp_massey(window[: 2 * lin.length] if verdict else window)
     bounds = lc_bounds(l1, l2) if l1 >= 2 else None
     lc_ok = bounds[0] < bm.linear_complexity <= bounds[1] if bounds else None
 
@@ -221,13 +228,6 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
             and candidate <= lin.multiplicity
         ):
             mult, fact_ok = candidate, True
-
-    # rules_b shares the characteristic polynomial of rules_a, so its
-    # cells span the same solution space: fitting it too adds nothing.
-    fit = fit_initial_state(lin.rules_a, window)
-    verdict = fit is not None
-    matched_rules = lin.rules_a if verdict else None
-    matched_cell, initial_state = fit if verdict else (None, None)
 
     return AttackReport(
         l1=l1,

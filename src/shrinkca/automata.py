@@ -9,7 +9,10 @@ words, bit i = cell i+1, so one step is two shifts and a mask.
 Cell 1 observes the whole state: its bit at time k depends on cell k+1
 and on no cell beyond, so its first L bits fix the state, and its streams
 fill the L-dimensional solution space of chi(E) y = 0 (chi the
-characteristic polynomial) that every cell's stream lies in.
+characteristic polynomial) that every cell's stream lies in.  The rule
+solved for the right neighbour carries a stream from cell 1 across all
+the cells; `fit_initial_state` fits and checks a target that way, by
+the continuant recurrence of `_char_poly_bits` run on the target.
 """
 
 from __future__ import annotations
@@ -147,25 +150,22 @@ def fit_initial_state(
     """Find (cell, initial state) whose cell output reproduces `target`.
 
     The cell is always 0: cell 1 observes the whole state, so if any
-    cell replays the target, cell 1 does.  Its first L bits give the
-    state by the backward recurrence x_(k+1)(t) = x_k(t+1) + d_k x_k(t)
-    + x_(k-1)(t), run on one packed int; the automaton then replays from
-    that state over the whole target, stopping at the first mismatch.
+    cell replays the target, cell 1 does.  The rule solved for the right
+    neighbour, x_(k+1)(t) = x_k(t+1) + d_k x_k(t) + x_(k-1)(t), carries
+    the target across the cells on one packed int, cell k+1 fixed at
+    times 0..n-1-k: the space-time cells of a replay, by columns.  The
+    state is their time-0 column, and it replays the target iff the
+    implied cell L+1, the null boundary, is zero wherever it is fixed.
     Returns (0, state) or None.  The target needs 2L or more 0/1 bits.
     """
-    L = len(rules)
-    if len(target) < 2 * L:
+    L, n = len(rules), len(target)
+    if n < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
-    mask150, mask_all = rules.mask150, (1 << L) - 1
-    # Bit L-1-t of cur is cell k+1 at time t, of prev cell k.
-    prev, cur, state = 0, _numeral(target) >> (len(target) - L), 0
+    mask150, mask_all = rules.mask150, (1 << n) - 1
+    # Bit n-1-t of cur is cell k+1 at time t, of prev cell k.
+    prev, cur, state = 0, _numeral(target), 0
     for k in range(L):
-        state |= (cur >> (L - 1)) << k
+        state |= (cur >> (n - 1)) << k
         nxt = (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
         prev, cur = cur, nxt & mask_all
-    replay = state
-    for bit in target:
-        if (replay & 1) != bit:
-            return None
-        replay = ((replay << 1) ^ (replay >> 1) ^ (replay & mask150)) & mask_all
-    return 0, state
+    return None if cur >> L else (0, state)

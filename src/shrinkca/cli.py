@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, help="first degree-many output bits")
     p.add_argument("--count", type=int, required=True, help="bits to emit")
     add_format(p)
+    p.set_defaults(handler=_cmd_lfsr)
 
     p = sub.add_parser("shrink", help="emit a shrunken keystream")
     p.add_argument("--p1", required=True, help="control polynomial")
@@ -50,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", required=True, help="data seed")
     p.add_argument("--count", type=int, required=True, help="bits to emit")
     add_format(p)
+    p.set_defaults(handler=_cmd_shrink)
 
     ca = sub.add_parser("ca", help="hybrid 90/150 automaton tools")
     casub = ca.add_subparsers(dest="ca_command", required=True)
@@ -58,19 +60,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="initial cells, cell 1 leftmost")
     p.add_argument("--steps", type=int, required=True, help="steps to advance")
     add_format(p)
+    p.set_defaults(handler=_cmd_ca_run)
     p = casub.add_parser("charpoly", help="characteristic polynomial of the rules")
     p.add_argument("--rules", required=True, help="rule string, 0=90 1=150")
     add_format(p)
+    p.set_defaults(handler=_cmd_ca_charpoly)
 
     p = sub.add_parser("linearize", help="synthesize the automaton pair")
     p.add_argument("--l1", type=int, required=True, help="control register length")
     p.add_argument("--p2", required=True, help="data polynomial (primitive)")
     add_format(p)
+    p.set_defaults(handler=_cmd_linearize)
 
     p = sub.add_parser("bm", help="linear complexity of a bit stream")
     p.add_argument("--seq", help="bit string to analyze")
     p.add_argument("--seq-file", help="file holding a [01\\s]+ stream")
     add_format(p)
+    p.set_defaults(handler=_cmd_bm)
 
     p = sub.add_parser("attack", help="full linearization verdict")
     p.add_argument("--p1", required=True, help="control polynomial")
@@ -78,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", required=True, help="data polynomial")
     p.add_argument("--s2", required=True, help="data seed")
     add_format(p)
+    p.set_defaults(handler=_cmd_attack)
 
     return top
 
@@ -158,23 +165,10 @@ def _cmd_attack(args) -> int:
     return 0 if report.verdict else 1
 
 
-_HANDLERS = {
-    "lfsr": _cmd_lfsr,
-    "shrink": _cmd_shrink,
-    "linearize": _cmd_linearize,
-    "bm": _cmd_bm,
-    "attack": _cmd_attack,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "ca":
-            handler = _cmd_ca_run if args.ca_command == "run" else _cmd_ca_charpoly
-        else:
-            handler = _HANDLERS[args.command]
-        return handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"shrinkca: error: {exc}", file=sys.stderr)
         return 2

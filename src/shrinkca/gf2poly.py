@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 _BITSTRING = re.compile(r"[01]+")
-_TERM = re.compile(r"1|x(\^\d+)?")
+_TERM = re.compile(r"1|x(\^[0-9]+)?")
 
 
 def _numeral(seq) -> int:

@@ -196,15 +196,27 @@ def test_criterion_7_oracle_equivalences():
     _criterion(7, 30.0, "four independent-oracle equivalences", body)
 
 
-def test_criterion_8_attack_at_4_15():
+def _attack_at(l1, l2):
     def body():
-        p1, p2 = cf.first_primitive(4), cf.first_primitive(15)
-        gen = ShrinkingGenerator(Lfsr(p1, [1, 0, 0, 0]), Lfsr(p2, [1] + [0] * 14))
+        p1, p2 = cf.first_primitive(l1), cf.first_primitive(l2)
+        gen = ShrinkingGenerator(
+            Lfsr(p1, [1] + [0] * (l1 - 1)), Lfsr(p2, [1] + [0] * (l2 - 1))
+        )
         report = verify_linearization(gen)
-        period = ((1 << 15) - 1) << 3
+        period = ((1 << l2) - 1) << (l1 - 1)
         assert report.verdict and report.verified_period == period
         assert report.window_length == 2 * period
         assert report.lc_in_bounds and report.factorization_ok
-        assert report.linear_complexity == 15 * report.measured_multiplicity
+        assert report.linear_complexity == l2 * report.measured_multiplicity
 
-    _criterion(8, 1.5, "attack at (4, 15) over a 524272-bit window", body)
+    return body
+
+
+def test_criterion_8_attack_at_4_15():
+    detail = "attack at (4, 15) over a 524272-bit window"
+    _criterion(8, 0.5, detail, _attack_at(4, 15))
+
+
+def test_criterion_9_attack_at_3_17():
+    detail = "attack at (3, 17) over a 1048568-bit window"
+    _criterion(9, 1.5, detail, _attack_at(3, 17))

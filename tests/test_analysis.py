@@ -323,18 +323,23 @@ class TestVerifyLinearization:
         assert a.linearization == b.linearization
 
     def test_window_beyond_the_bound_falls_back_to_full_bm(self, monkeypatch):
-        # A window whose complexity exceeds lin.length: the prefix result
-        # fails the whole-window check, and the full-window BM is reported.
-        window = cf.gen_a().shrunken_sequence(120)
-        window[100] ^= 1
-        monkeypatch.setattr(
-            ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
-        )
-        report = verify_linearization(cf.gen_a())
-        lc, _ = cf.full_register_bm(window)
-        assert lc > report.linearization.length
-        assert report.linear_complexity == lc
-        assert not report.factorization_ok and not report.verdict
+        # Windows whose complexity exceeds lin.length are not replayed, and
+        # the whole-window BM is reported: generator A with one bit flipped,
+        # and a (2, 1) generator, whose window is exactly 2L = 4 bits, with
+        # LC = 4 bits in place of its keystream.
+        corrupted = cf.gen_a().shrunken_sequence(120)
+        corrupted[100] ^= 1
+        short = ShrinkingGenerator(cf.make_lfsr("111", "10"), cf.make_lfsr("11", "1"))
+        for gen, window in ((cf.gen_a(), corrupted), (short, [0, 0, 0, 1])):
+            monkeypatch.setattr(
+                ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
+            )
+            report = verify_linearization(gen)
+            lc, _ = cf.full_register_bm(window)
+            assert lc > report.linearization.length
+            assert report.window_length == len(window)
+            assert report.linear_complexity == lc
+            assert not report.factorization_ok and not report.verdict
 
     def test_report_serialization(self):
         report = verify_linearization(cf.gen_a())

@@ -247,26 +247,32 @@ class TestFitInitialState:
             fit_initial_state(RuleVector.parse("0111"), target)
 
     def test_matches_elimination_oracle(self):
-        # Targets: some cell's stream, the same with one bit flipped
-        # (half of the flips beyond bit 2L), uniform random bits, zeros.
+        # Targets: some cell's stream as is (kinds 0, 2, 4) or with one bit
+        # flipped: anywhere, half of the time beyond bit 2L (kind 1), the
+        # last bit (kind 3), a bit within the final L bits (kind 5); zeros
+        # (kind 6) and uniform random bits (kind 7).  A third of the
+        # targets are exactly 2L bits; lists, tuples and bytes take turns.
         rng = random.Random(15)
         fitted = 0
         for case in range(2400):
             length = rng.randrange(1, 25)
             n = rng.randrange(2 * length, 5 * length + 1)
+            if case % 3 == 0:
+                n = 2 * length
             rules = RuleVector([rng.randrange(2) for _ in range(length)])
-            kind = case % 4
-            if kind in (0, 1):
-                cell = rng.randrange(length)
-                states = ca_run(rules, rng.randrange(1 << length), n - 1)
-                target = cell_output(states, cell)
-                if kind == 1:
-                    beyond = case % 8 == 1 and n > 2 * length
-                    target[rng.randrange(2 * length if beyond else 0, n)] ^= 1
-            elif kind == 2:
+            kind = case % 8
+            if kind == 6:
+                target = [0] * n
+            elif kind == 7:
                 target = [rng.randrange(2) for _ in range(n)]
             else:
-                target = [0] * n
+                states = ca_run(rules, rng.randrange(1 << length), n - 1)
+                target = cell_output(states, rng.randrange(length))
+                beyond = 2 * length if case % 16 == 1 and n > 2 * length else 0
+                low = {1: beyond, 3: n - 1, 5: n - length}.get(kind)
+                if low is not None:
+                    target[rng.randrange(low, n)] ^= 1
+            target = (list, tuple, bytes)[case // 24 % 3](target)
             got = fit_initial_state(rules, target)
             assert got == cf.elimination_fit(rules, target), (str(rules), target)
             fitted += got is not None

@@ -45,7 +45,9 @@ class TestParseFormat:
             assert P(text).to_bitstring() == text
             assert P(P(text).to_terms()) == P(text)
 
-    @pytest.mark.parametrize("bad", ["", "102", "x^", "y+1", "1+", "x**2", "2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "102", "x^", "y+1", "1+", "x**2", "2", "1+x^\u0663"]
+    )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             P(bad)
