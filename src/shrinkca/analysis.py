@@ -87,11 +87,13 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
 
 def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     """Linear-complexity bracket (exclusive lower, inclusive upper) for a
-    shrinking generator with register lengths l1, l2."""
+    shrinking generator with register lengths l1, l2.  It needs l2 >= 2:
+    a primitive data register of length 1 emits only ones, so its
+    keystream is constant and has LC 1 at every l1."""
     if l1 < 2:
         raise ValueError("lower bound undefined for control length < 2")
-    if l2 < 1:
-        raise ValueError("data length must be >= 1")
+    if l2 < 2:
+        raise ValueError("bracket undefined for data length < 2")
     return l2 << (l1 - 2), l2 << (l1 - 1)
 
 
@@ -189,8 +191,9 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     The verdict is true iff some cell of the synthesized pair replays the
     keystream over the full window of twice its period, which holds iff
     cell 1 of rules_a does; a false verdict is a result, not an error.
-    The fit comes first: a replayed window is measured on its first 2L
-    bits (L cells), exactly, and any other window whole.
+    The window stays 0/1 bytes from the registers to the fit and to
+    Berlekamp-Massey.  The fit comes first: a replayed window is measured
+    on its first 2L bits (L cells), exactly, and any other window whole.
     """
     r1, r2 = gen.r1, gen.r2
     if not is_primitive(r1.charpoly):
@@ -202,7 +205,7 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     l1, l2 = r1.length, r2.length
     period = ((1 << l2) - 1) << (l1 - 1)
     lin = _linearize(l1, r2.charpoly)
-    window = gen.shrunken_sequence(2 * period)
+    window = gen._shrunken(2 * period)
 
     # rules_b shares the characteristic polynomial of rules_a, so its
     # cells span the same solution space: fitting it too adds nothing.
@@ -214,19 +217,21 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     # A replayed window obeys chi(E) of degree L = lin.length, so by
     # Massey's theorem its first 2L bits fix its polynomial.
     bm = berlekamp_massey(window[: 2 * lin.length] if verdict else window)
-    bounds = lc_bounds(l1, l2) if l1 >= 2 else None
+    try:
+        bounds: Optional[tuple[int, int]] = lc_bounds(l1, l2)
+    except ValueError:  # no bracket for a register of length 1
+        bounds = None
     lc_ok = bounds[0] < bm.linear_complexity <= bounds[1] if bounds else None
 
+    # deg(base) = l2, so an LC above the bracket's floor is a multiplicity
+    # above 2**(l1-2); without a bracket any multiplicity >= 1 counts.
     base = lin.base_poly
+    floor = bounds[0] if bounds else 0
     mult: Optional[int] = None
     fact_ok = False
-    if bm.linear_complexity > 0 and bm.linear_complexity % base.degree == 0:
+    if bm.linear_complexity > floor and bm.linear_complexity % base.degree == 0:
         candidate = bm.linear_complexity // base.degree
-        if (
-            base**candidate == bm.connection_poly
-            and 4 * candidate > (1 << l1)
-            and candidate <= lin.multiplicity
-        ):
+        if base**candidate == bm.connection_poly and candidate <= lin.multiplicity:
             mult, fact_ok = candidate, True
 
     return AttackReport(

@@ -1,8 +1,10 @@
 """Shift-register keystream generation and bit-sequence utilities.
 
 Sequences are lists of 0/1 ints at the API, index 0 first emitted, and
-0/1 bytes or a binary-numeral int (index 0 most significant) inside;
-the text form is ``^[01]+$`` with index 0 leftmost.  A register's
+0/1 bytes or a binary-numeral int (index 0 most significant) inside:
+the private `Lfsr._stream` and `ShrinkingGenerator._shrunken` return the
+bytes, which the attack pipeline reads without unpacking them.  The
+text form is ``^[01]+$`` with index 0 leftmost.  A register's
 characteristic polynomial annihilates its stream: with P of degree r,
 every output bit satisfies a_n = sum of a_(n-r+j) over the set
 coefficients j < r of P.  The seed is the first r emitted bits, so
@@ -13,11 +15,10 @@ convention, where taps read from the other end, is not used.)
 from __future__ import annotations
 
 import re
-from itertools import compress
 from math import gcd
 from typing import Sequence
 
-from .gf2poly import Gf2Poly, _numeral
+from .gf2poly import Gf2Poly
 
 __all__ = [
     "Lfsr",
@@ -31,6 +32,8 @@ __all__ = [
 _BITS = re.compile(r"[01]+")
 _LEAP_MAX = 4096  # largest block of bits one leap step generates
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+# Pair bytes 2*control + data: the kept ones, 2 and 3, become data bits.
+_KEPT = bytes.maketrans(b"\2\3", b"\0\1")
 
 
 def parse_bits(text: str) -> list[int]:
@@ -77,19 +80,24 @@ class Lfsr:
 
     def _stream(self, n: int) -> bytes:
         """First n output bits as 0/1 bytes.  P(x)**B = P(x**B) for B = 2**k,
-        so once r*B bits exist, the next B bits XOR the blocks lag*B back."""
+        so once r blocks of B bits exist, the next block is the XOR of the
+        blocks lag back, over the lags of P.  The r seed bits are the first
+        blocks; every r new blocks, pairs merge into blocks twice as long,
+        up to _LEAP_MAX bits."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         r = self.length
-        stream, have = _numeral(self.state), r
-        while have < n:
-            block = min(_LEAP_MAX, 1 << ((have // r).bit_length() - 1))
+        blocks, size = list(self.state), 1
+        while len(blocks) * size < n:
+            if len(blocks) == 2 * r and size < _LEAP_MAX:
+                blocks = [(hi << size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
+                size *= 2
             new = 0
             for lag in self._lags:
-                new ^= (stream & ((1 << lag * block) - 1)) >> (lag - 1) * block
-            stream = (stream << block) | new
-            have += block
-        return format(stream, f"0{have}b")[:n].encode().translate(_FROM_DIGITS)
+                new ^= blocks[-lag]
+            blocks.append(new)
+        digits = "".join(format(block, f"0{size}b") for block in blocks)
+        return digits[:n].encode().translate(_FROM_DIGITS)
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -112,6 +120,12 @@ class ShrinkingGenerator:
 
     def shrunken_sequence(self, n: int) -> list[int]:
         """First n kept bits of the data stream."""
+        return list(self._shrunken(n))
+
+    def _shrunken(self, n: int) -> bytes:
+        """First n kept bits as 0/1 bytes.  Each pair of register bits
+        becomes one byte 2*control + data, and one translate deletes the
+        bytes 0 and 1 (control 0) and maps 2 and 3 to the data bit."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):
@@ -121,9 +135,12 @@ class ShrinkingGenerator:
         cap = (n + 1) << self.r1.length
         m = 2 * n + (2 << self.r1.length)
         while True:
-            control = self.r1._stream(m)
-            if control.count(1) >= n:
-                return list(bytes(compress(self.r2._stream(m), control))[:n])
+            pairs = (int.from_bytes(self.r1._stream(m), "big") << 1) | int.from_bytes(
+                self.r2._stream(m), "big"
+            )
+            kept = pairs.to_bytes(m, "big").translate(_KEPT, b"\0\1")
+            if len(kept) >= n:
+                return kept[:n]
             if m > cap:
                 raise ValueError("control register ran out of ones")
             m *= 2

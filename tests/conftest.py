@@ -248,12 +248,16 @@ def literal_lfsr(reg: Lfsr, n: int) -> list[int]:
 
 
 def brute_shrunken(gen: ShrinkingGenerator, n: int) -> list[int]:
-    """Generate a big block of register pairs bit by bit and filter literally."""
-    m = 4 * n + 64
+    """Generate a big block of register pairs bit by bit and filter literally.
+
+    A control register enters a cycle of at most 2**L1 states within
+    2**L1 steps, so (n + 1) * 2**L1 pairs hold n kept bits unless that
+    cycle has no ones; only then is the result shorter than n.
+    """
+    m = (n + 1) << gen.r1.length
     a = literal_lfsr(gen.r1, m)
     b = literal_lfsr(gen.r2, m)
     kept = [y for x, y in zip(a, b) if x == 1]
-    assert len(kept) >= n
     return kept[:n]
 
 

@@ -192,6 +192,11 @@ class TestLcBounds:
         with pytest.raises(ValueError):
             lc_bounds(1, 4)
 
+    def test_data_length_below_two_rejected(self):
+        # A length-1 data register emits only ones: LC 1 at every l1.
+        with pytest.raises(ValueError, match="data length"):
+            lc_bounds(3, 1)
+
 
 class TestKeystreamAlgebraSweep:
     def test_single_configuration(self):
@@ -260,6 +265,17 @@ class TestVerifyLinearization:
         assert report.verified_period == 15
         assert report.linear_complexity == 4
 
+    def test_degree_one_data_register(self):
+        # The data stream is all ones, so the keystream is constant: no
+        # bracket, and multiplicity 1 is the measured factorization.
+        for p1, s1 in (("111", "10"), ("1101", "011"), ("110111", "10110")):
+            gen = ShrinkingGenerator(cf.make_lfsr(p1, s1), cf.make_lfsr("11", "1"))
+            report = verify_linearization(gen)
+            assert report.verdict
+            assert report.linear_complexity == 1
+            assert report.lc_bounds is None and report.lc_in_bounds is None
+            assert report.factorization_ok and report.measured_multiplicity == 1
+
     def test_rejects_invalid_generators(self):
         nonprim = ShrinkingGenerator(
             cf.make_lfsr("1011", "100"), cf.make_lfsr("11111", "1000")
@@ -305,7 +321,7 @@ class TestVerifyLinearization:
         window = cf.gen_b().shrunken_sequence(report.window_length)
         window[-1] ^= 1
         monkeypatch.setattr(
-            ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
+            ShrinkingGenerator, "_shrunken", lambda self, n: bytes(window[:n])
         )
         report = verify_linearization(cf.gen_b())
         assert not report.verdict and report.matched_rules is None
@@ -332,7 +348,7 @@ class TestVerifyLinearization:
         short = ShrinkingGenerator(cf.make_lfsr("111", "10"), cf.make_lfsr("11", "1"))
         for gen, window in ((cf.gen_a(), corrupted), (short, [0, 0, 0, 1])):
             monkeypatch.setattr(
-                ShrinkingGenerator, "shrunken_sequence", lambda self, n: list(window[:n])
+                ShrinkingGenerator, "_shrunken", lambda self, n: bytes(window[:n])
             )
             report = verify_linearization(gen)
             lc, _ = cf.full_register_bm(window)

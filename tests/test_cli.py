@@ -152,6 +152,21 @@ class TestAttack:
         assert Gf2Poly.parse(payload["generator"]["p2"]).to_bitstring() == cf.R2A_POLY
         assert RuleVector.parse(payload["matched_rules"])
 
+    def test_degree_one_data_register(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "attack", "--p1", "111", "--s1", "10", "--p2", "11", "--s2", "1"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "generator     l1=2 p1=111 seed1=10 | l2=1 p2=11 seed2=1",
+            "automata      00 / 00 (L=2, base=11, p=2, N=3)",
+            "complexity    LC=1",
+            "factorization 11^1 confirmed",
+            "replay        cell 0 of 00, state 11",
+            "verified      period 2 over a 4-bit window",
+            "verdict       LINEAR",
+        ]
+
     def test_invalid_generator_exit_two(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -202,16 +202,47 @@ class TestLeapGeneratorEquivalence:
                 assert reg.sequence(n) == cf.literal_lfsr(reg, n)
 
     def test_register_past_largest_block(self):
-        # Long enough that blocks reach 4096 bits; lengths off the block grid.
+        # Long enough that blocks reach 4096 bits, which happens at r * 4096
+        # bits: lengths on and one off that edge, on and off later block
+        # edges, and one off the block grid.
         rng = random.Random(0xB10C)
-        for r in (1, 2, 3, 5, 8):
-            poly = Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)) | 1)
+        for r in range(1, 21):
+            poly = Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)))
             reg = Lfsr(poly, cf.random_nonzero_seed(rng, r))
-            n = 2 * r * 4096 + 3 * 4096 + rng.randrange(1, 4096)
-            assert reg.sequence(n) == cf.literal_lfsr(reg, n)
+            top = (r + 2) * 4096 + rng.randrange(1, 4096)
+            literal = bytes(cf.literal_lfsr(reg, top))
+            for n in (4096, r * 4096 - 1, r * 4096, r * 4096 + 1, (r + 1) * 4096,
+                      (r + 2) * 4096 - 1, (r + 2) * 4096, top):
+                assert reg._stream(n) == literal[:n]
 
     def test_keystream_random_registers(self):
+        # Random registers, and controls with few or no ones: r = 1, (1+x)^5,
+        # a factor x, irreducible but not primitive, sparse 1+x^6 and
+        # 1+x^10, and a zero seed.  Only a control that runs out of ones
+        # may refuse.
+        def agrees(gen, n):
+            expected = cf.brute_shrunken(gen, n)
+            if len(expected) < n:
+                with pytest.raises(ValueError, match="ones"):
+                    gen._shrunken(n)
+                return False
+            assert gen._shrunken(n) == bytes(expected)
+            return True
+
         rng = random.Random(0x5A1D)
+        for p1, s1, p2, s2 in (
+            ("11", "1", "1101", "110"),
+            ("110011", "10100", "1000101", "000011"),
+            ("011", "10", "1101", "110"),
+            ("0101", "111", "110001", "01101"),
+            ("11111", "1000", "1101", "110"),
+            ("1000001", "000001", "110001", "01101"),
+            ("10000000001", "1000000000", "1101", "110"),
+            ("11", "0", "111", "01"),
+        ):
+            gen = ShrinkingGenerator(cf.make_lfsr(p1, s1), cf.make_lfsr(p2, s2))
+            for n in (0, 1, 2, rng.randrange(3, 40), rng.randrange(40, 300)):
+                agrees(gen, n)
         checked = 0
         while checked < 150:
             l1, l2 = rng.randrange(1, 7), rng.randrange(1, 9)
@@ -223,15 +254,7 @@ class TestLeapGeneratorEquivalence:
                 Lfsr(Gf2Poly(rng.randrange(1 << l2, 1 << (l2 + 1))),
                      [rng.randrange(2) for _ in range(l2)]),
             )
-            n = rng.randrange(0, 200)
-            try:
-                got = gen.shrunken_sequence(n)
-            except ValueError:
-                # Only a control stream that runs out of ones may refuse.
-                assert sum(cf.literal_lfsr(gen.r1, (n + 1) << l1)) < n
-                continue
-            assert got == cf.brute_shrunken(gen, n)
-            checked += 1
+            checked += agrees(gen, rng.randrange(0, 200))
 
     def test_control_running_out_of_ones_is_value_error(self):
         # x + x^2 has no constant term: the stream 1, 0, 0, ... has one 1.
