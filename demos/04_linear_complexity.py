@@ -41,5 +41,6 @@ print("base^4 annihilates keystream:", check_annihilation(base, 4, window))
 print("base^1 annihilates keystream:", check_annihilation(base, 1, window))
 
 # One flipped bit breaks the recurrence everywhere near it.
-window[40] ^= 1
-print("after one bit flip:          ", check_annihilation(base, 4, window))
+flipped = bytearray(window)
+flipped[40] ^= 1
+print("after one bit flip:          ", check_annihilation(base, 4, flipped))

@@ -29,7 +29,7 @@ for p2_text, seed2 in (("11001", [1, 0, 0, 0]), ("111011", [1, 0, 0, 0, 0])):
     window = gen.shrunken_sequence(report.window_length)
     states = ca_run(report.matched_rules, report.initial_state, len(window) - 1)
     replay = cell_output(states, report.matched_cell)
-    print("replay matches keystream:", replay == window)
+    print("replay matches keystream:", bytes(replay) == window)
     print("keystream:", format_bits(window[:40]), "...")
     print("replay:   ", format_bits(replay[:40]), "...")
     print()

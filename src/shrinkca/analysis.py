@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .automata import RuleVector, fit_initial_state, state_to_bits
 from .generators import ShrinkingGenerator, format_bits
 from .gf2poly import Gf2Poly, _numeral, is_primitive
-from .linearizer import LinearizationResult, _linearize
+from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
     "BmResult",
@@ -198,14 +198,12 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     r1, r2 = gen.r1, gen.r2
     if not is_primitive(r1.charpoly):
         raise ValueError(f"control polynomial {r1.charpoly} must be primitive")
-    if not is_primitive(r2.charpoly):
-        raise ValueError(f"data polynomial {r2.charpoly} must be primitive")
+    l1, l2 = r1.length, r2.length
+    lin = linearize_shrinking_generator(l1, r2.charpoly)  # tests r2 for primitivity
     if not any(r1.state) or not any(r2.state):
         raise ValueError("register seeds must be nonzero")
-    l1, l2 = r1.length, r2.length
     period = ((1 << l2) - 1) << (l1 - 1)
-    lin = _linearize(l1, r2.charpoly)
-    window = gen._shrunken(2 * period)
+    window = gen.shrunken_sequence(2 * period)
 
     # rules_b shares the characteristic polynomial of rules_a, so its
     # cells span the same solution space: fitting it too adds nothing.

@@ -6,7 +6,8 @@ every printed canonical value parses back losslessly.  Counts are
 mandatory so identical invocations always print identical output.
 
 Exit status: 0 on success, 1 when an attack verdict is false, 2 on
-usage or validation errors.
+usage or validation errors, 3 on an internal error (a failed invariant
+check, reported as ``shrinkca: internal error: ...``).
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"shrinkca: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"shrinkca: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Shift-register keystream generation and bit-sequence utilities.
 
-Sequences are lists of 0/1 ints at the API, index 0 first emitted, and
-0/1 bytes or a binary-numeral int (index 0 most significant) inside:
-the private `Lfsr._stream` and `ShrinkingGenerator._shrunken` return the
-bytes, which the attack pipeline reads without unpacking them.  The
-text form is ``^[01]+$`` with index 0 leftmost.  A register's
+Generated and parsed bit streams are 0/1 bytes, index 0 first emitted:
+`Lfsr.sequence`, `ShrinkingGenerator.shrunken_sequence` and `parse_bits`
+return them, and the attack pipeline reads them without unpacking.  Any
+sequence of 0/1 ints is accepted as input.  The text form is ``^[01]+$``
+with index 0 leftmost; `format_bits` prints it.  A register's
 characteristic polynomial annihilates its stream: with P of degree r,
 every output bit satisfies a_n = sum of a_(n-r+j) over the set
 coefficients j < r of P.  The seed is the first r emitted bits, so
@@ -18,7 +18,7 @@ import re
 from math import gcd
 from typing import Sequence
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _bit_digits
 
 __all__ = [
     "Lfsr",
@@ -36,16 +36,17 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 _KEPT = bytes.maketrans(b"\2\3", b"\0\1")
 
 
-def parse_bits(text: str) -> list[int]:
-    """Parse ``^[01]+$`` into a bit list, index 0 leftmost."""
+def parse_bits(text: str) -> bytes:
+    """Parse ``^[01]+$`` into 0/1 bytes, index 0 leftmost."""
     s = text.strip()
     if not _BITS.fullmatch(s):
         raise ValueError(f"not a bit string: {text!r}")
-    return [int(c) for c in s]
+    return s.encode().translate(_FROM_DIGITS)
 
 
 def format_bits(bits: Sequence[int]) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    """Print a 0/1 sequence as its ``[01]*`` text, index 0 leftmost."""
+    return _bit_digits(bits).decode()
 
 
 class Lfsr:
@@ -74,11 +75,7 @@ class Lfsr:
     def length(self) -> int:
         return self.charpoly.degree
 
-    def sequence(self, n: int) -> list[int]:
-        """First n output bits."""
-        return list(self._stream(n))
-
-    def _stream(self, n: int) -> bytes:
+    def sequence(self, n: int) -> bytes:
         """First n output bits as 0/1 bytes.  P(x)**B = P(x**B) for B = 2**k,
         so once r blocks of B bits exist, the next block is the XOR of the
         blocks lag back, over the lags of P.  The r seed bits are the first
@@ -118,14 +115,11 @@ class ShrinkingGenerator:
         self.r1 = r1
         self.r2 = r2
 
-    def shrunken_sequence(self, n: int) -> list[int]:
-        """First n kept bits of the data stream."""
-        return list(self._shrunken(n))
-
-    def _shrunken(self, n: int) -> bytes:
-        """First n kept bits as 0/1 bytes.  Each pair of register bits
-        becomes one byte 2*control + data, and one translate deletes the
-        bytes 0 and 1 (control 0) and maps 2 and 3 to the data bit."""
+    def shrunken_sequence(self, n: int) -> bytes:
+        """First n kept bits of the data stream as 0/1 bytes.  Each pair of
+        register bits becomes one byte 2*control + data, and one translate
+        deletes the bytes 0 and 1 (control 0) and maps 2 and 3 to the data
+        bit."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):
@@ -135,8 +129,8 @@ class ShrinkingGenerator:
         cap = (n + 1) << self.r1.length
         m = 2 * n + (2 << self.r1.length)
         while True:
-            pairs = (int.from_bytes(self.r1._stream(m), "big") << 1) | int.from_bytes(
-                self.r2._stream(m), "big"
+            pairs = (int.from_bytes(self.r1.sequence(m), "big") << 1) | int.from_bytes(
+                self.r2.sequence(m), "big"
             )
             kept = pairs.to_bytes(m, "big").translate(_KEPT, b"\0\1")
             if len(kept) >= n:

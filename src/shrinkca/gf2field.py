@@ -50,15 +50,9 @@ def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
     accepted and reduced modulo the group order.
     """
     if not is_primitive(p2):
-        raise ValueError(f"{p2} is not primitive")
+        raise ValueError(f"data polynomial {p2} must be primitive")
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    return _minimal_polynomial_of_power(p2, n)
-
-
-def _minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
-    """`minimal_polynomial_of_power` for a p2 already known to be
-    primitive and an n >= 0."""
     beta = poly_powmod(X, n, p2).bits
     pivots: dict[int, tuple[int, int]] = {}  # top bit -> (residue, powers)
     power, k = 1, 0

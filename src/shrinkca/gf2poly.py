@@ -25,17 +25,23 @@ __all__ = [
 
 _BITSTRING = re.compile(r"[01]+")
 _TERM = re.compile(r"1|x(\^[0-9]+)?")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _numeral(seq) -> int:
-    """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
+def _bit_digits(seq) -> bytes:
+    """A 0/1 sequence as its ASCII digits b"0"/b"1", seq[0] first."""
     try:
         raw = seq if isinstance(seq, bytes) else bytes(list(seq))
     except (TypeError, ValueError):  # an item that is not an int in range(256)
         raise ValueError("sequence bits must be 0 or 1") from None
     if raw.translate(None, b"\0\1"):
         raise ValueError("sequence bits must be 0 or 1")
-    return int(raw.translate(bytes.maketrans(b"\0\1", b"01")) or b"0", 2)
+    return raw.translate(_TO_DIGITS)
+
+
+def _numeral(seq) -> int:
+    """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
+    return int(_bit_digits(seq) or b"0", 2)
 
 
 def _mul_bits(a: int, b: int) -> int:

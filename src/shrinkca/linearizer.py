@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import RuleVector, _char_poly_bits
-from .gf2field import _minimal_polynomial_of_power
-from .gf2poly import Gf2Poly, is_irreducible, is_primitive
+from .gf2field import minimal_polynomial_of_power
+from .gf2poly import Gf2Poly, is_irreducible
 
 __all__ = [
     "LinearizationResult",
@@ -98,16 +98,8 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
     """
     if l1 < 1:
         raise ValueError("control length must be >= 1")
-    if not is_primitive(p2):
-        raise ValueError(f"data polynomial {p2} must be primitive")
-    return _linearize(l1, p2)
-
-
-def _linearize(l1: int, p2: Gf2Poly) -> LinearizationResult:
-    """`linearize_shrinking_generator` for an l1 >= 1 and a p2 already
-    known to be primitive: each public caller tests p2 once."""
     n = (1 << l1) - 1
-    base = _minimal_polynomial_of_power(p2, n)
+    base = minimal_polynomial_of_power(p2, n)  # tests p2 for primitivity
     pair = synthesize_ca_pair(base)
     degenerate = len(pair) == 1
     rules_a, rules_b = (pair[0], pair[0]) if degenerate else pair

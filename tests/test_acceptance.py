@@ -154,7 +154,7 @@ def test_criterion_6_attack_end_to_end():
             states = ca_run(
                 report.matched_rules, report.initial_state, len(window) - 1
             )
-            assert cell_output(states, report.matched_cell) == window
+            assert bytes(cell_output(states, report.matched_cell)) == window
             assert report.lc_in_bounds and report.factorization_ok
 
     _criterion(6, 10.0, "both reference generators replayed over a full period", body)
@@ -181,7 +181,7 @@ def test_criterion_7_oracle_equivalences():
 
         # Keystream vs literal generate-then-filter.
         for gen in (cf.gen_a(), cf.gen_b()):
-            assert gen.shrunken_sequence(300) == cf.brute_shrunken(gen, 300)
+            assert gen.shrunken_sequence(300) == bytes(cf.brute_shrunken(gen, 300))
 
         # Berlekamp-Massey vs brute-force minimal recurrence search.
         for degree in range(2, 11):

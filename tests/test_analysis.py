@@ -113,7 +113,7 @@ class TestChunkedHistoryEquivalence:
         # past the history width, and the bits it now reads are not zero.
         for r in (2, 5, 9):
             reg = Lfsr(cf.first_primitive(r), cf.random_nonzero_seed(rng, r))
-            broken = reg.sequence(900)
+            broken = bytearray(reg.sequence(900))
             broken[400 + r] ^= 1
             windows.append(broken)
         for r in (40, 150, 600):
@@ -138,7 +138,7 @@ class TestCheckAnnihilation:
         assert check_annihilation(Gf2Poly.parse(cf.R2A_POLY), 1, window)
 
     def test_flipped_bit_detected(self):
-        window = cf.make_lfsr(cf.R2A_POLY, cf.R2A_SEED).sequence(45)
+        window = bytearray(cf.make_lfsr(cf.R2A_POLY, cf.R2A_SEED).sequence(45))
         window[20] ^= 1
         assert not check_annihilation(Gf2Poly.parse(cf.R2A_POLY), 1, window)
 
@@ -164,7 +164,7 @@ class TestCheckAnnihilation:
             if rng.random() < 0.5 and span:
                 # A stream q**mult annihilates, sometimes with one flipped bit.
                 reg = Lfsr(q**mult, [rng.randrange(2) for _ in range(span)])
-                window = reg.sequence(n)
+                window = bytearray(reg.sequence(n))
                 if rng.random() < 0.3:
                     window[rng.randrange(n)] ^= 1
             else:
@@ -250,7 +250,7 @@ class TestVerifyLinearization:
         report = verify_linearization(cf.gen_b())
         window = cf.gen_b().shrunken_sequence(report.window_length)
         states = ca_run(report.matched_rules, report.initial_state, len(window) - 1)
-        assert cell_output(states, report.matched_cell) == window
+        assert bytes(cell_output(states, report.matched_cell)) == window
 
     def test_degree_one_control_register(self):
         # An always-one control register passes the data stream through;
@@ -302,6 +302,38 @@ class TestVerifyLinearization:
         verify_linearization(gen)
         assert primitivity_calls == [gen.r1.charpoly, gen.r2.charpoly]
 
+    def test_every_stage_is_reached_through_its_public_name(self, monkeypatch):
+        # A tracer that wraps the public names, where the caller looks them
+        # up, sees every stage of one attack, in pipeline order.
+        import shrinkca.analysis
+        import shrinkca.linearizer
+
+        reached = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def spied(*args, **kwargs):
+                reached.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spied)
+
+        stages = (
+            (shrinkca.analysis, "linearize_shrinking_generator"),
+            (shrinkca.linearizer, "minimal_polynomial_of_power"),
+            (shrinkca.linearizer, "synthesize_ca_pair"),
+            (shrinkca.linearizer, "concat_double"),
+            (ShrinkingGenerator, "shrunken_sequence"),
+            (Lfsr, "sequence"),
+            (shrinkca.analysis, "fit_initial_state"),
+            (shrinkca.analysis, "berlekamp_massey"),
+        )
+        for owner, name in stages:
+            spy(owner, name)
+        assert verify_linearization(cf.gen_b()).verdict
+        assert list(dict.fromkeys(reached)) == [name for _, name in stages]
+
     def test_only_rules_a_is_fitted(self, monkeypatch):
         # rules_b has the same characteristic polynomial, hence the same
         # cell-1 solution space: a window rules_a cannot replay is not
@@ -318,10 +350,10 @@ class TestVerifyLinearization:
         report = verify_linearization(cf.gen_b())
         assert report.verdict and report.matched_cell == 0
         assert fitted == [report.linearization.rules_a] == [report.matched_rules]
-        window = cf.gen_b().shrunken_sequence(report.window_length)
+        window = bytearray(cf.gen_b().shrunken_sequence(report.window_length))
         window[-1] ^= 1
         monkeypatch.setattr(
-            ShrinkingGenerator, "_shrunken", lambda self, n: bytes(window[:n])
+            ShrinkingGenerator, "shrunken_sequence", lambda self, n: bytes(window[:n])
         )
         report = verify_linearization(cf.gen_b())
         assert not report.verdict and report.matched_rules is None
@@ -343,12 +375,12 @@ class TestVerifyLinearization:
         # the whole-window BM is reported: generator A with one bit flipped,
         # and a (2, 1) generator, whose window is exactly 2L = 4 bits, with
         # LC = 4 bits in place of its keystream.
-        corrupted = cf.gen_a().shrunken_sequence(120)
+        corrupted = bytearray(cf.gen_a().shrunken_sequence(120))
         corrupted[100] ^= 1
         short = ShrinkingGenerator(cf.make_lfsr("111", "10"), cf.make_lfsr("11", "1"))
         for gen, window in ((cf.gen_a(), corrupted), (short, [0, 0, 0, 1])):
             monkeypatch.setattr(
-                ShrinkingGenerator, "_shrunken", lambda self, n: bytes(window[:n])
+                ShrinkingGenerator, "shrunken_sequence", lambda self, n: bytes(window[:n])
             )
             report = verify_linearization(gen)
             lc, _ = cf.full_register_bm(window)

@@ -192,6 +192,24 @@ class TestUsage:
         assert proc.stderr.startswith("shrinkca: error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
+        # A failed invariant check is neither a false verdict (1) nor a
+        # usage error (2).
+        import shrinkca.cli
+
+        def broken(gen):
+            raise RuntimeError("first dependency is not a minimal polynomial")
+
+        monkeypatch.setattr(shrinkca.cli, "verify_linearization", broken)
+        code, out, err = run_cli(
+            capsys,
+            "attack",
+            "--p1", cf.R1_POLY, "--s1", cf.R1_SEED,
+            "--p2", cf.R2A_POLY, "--s2", cf.R2A_SEED,
+        )
+        assert (code, out) == (3, "")
+        assert err == "shrinkca: internal error: first dependency is not a minimal polynomial\n"
+
     def test_malformed_polynomial(self, capsys):
         code, _, err = run_cli(
             capsys, "lfsr", "--poly", "10a1", "--seed", "100", "--count", "5"

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the package in src."""
+"""Every narrative demo runs to completion against the package in src and
+prints its golden output, kept in tests/golden/demos/<name>.txt."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_found():
@@ -27,4 +29,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
