@@ -6,6 +6,7 @@ bit-exactly that one automaton cell replays the keystream.
 """
 
 from .analysis import (
+    MAX_WINDOW_BITS,
     AttackReport,
     BmResult,
     berlekamp_massey,
@@ -47,6 +48,7 @@ from .gf2poly import (
     poly_powmod,
 )
 from .linearizer import (
+    MAX_CELLS,
     LinearizationResult,
     concat_double,
     linearize_shrinking_generator,
@@ -56,6 +58,8 @@ from .linearizer import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_CELLS",
+    "MAX_WINDOW_BITS",
     "AttackReport",
     "BmResult",
     "Gf2Poly",

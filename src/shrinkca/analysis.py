@@ -7,12 +7,14 @@ form some treatments return).  The verdict routine ties everything
 together: synthesize the automaton pair from (L1, P2), exhibit a cell
 plus initial state that replays the keystream bit for bit, measure the
 keystream, and confirm the measured polynomial is a bounded power of
-the predicted base.
+the predicted base.  A window over MAX_WINDOW_BITS is refused before any
+keystream is generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state, state_to_bits
@@ -21,6 +23,7 @@ from .gf2poly import Gf2Poly, _numeral, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
+    "MAX_WINDOW_BITS",
     "BmResult",
     "AttackReport",
     "berlekamp_massey",
@@ -29,8 +32,13 @@ __all__ = [
     "verify_linearization",
 ]
 
+MAX_WINDOW_BITS = 1 << 22
+"""Longest keystream window `verify_linearization` generates.  The
+window is 2^(L1+L2) - 2^L1 bits, so this admits every generator with
+L1 + L2 <= 22; it takes about 60 MB at the limit."""
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BmResult:
     """Minimal annihilating polynomial of a window and its degree."""
 
@@ -85,11 +93,13 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
     return not (acc >> span) & ((1 << (len(seq) - span)) - 1)
 
 
+@lru_cache(maxsize=64)
 def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     """Linear-complexity bracket (exclusive lower, inclusive upper) for a
     shrinking generator with register lengths l1, l2.  It needs l2 >= 2:
     a primitive data register of length 1 emits only ones, so its
-    keystream is constant and has LC 1 at every l1."""
+    keystream is constant and has LC 1 at every l1.  Every report of one
+    (l1, l2) holds the same bracket tuple."""
     if l1 < 2:
         raise ValueError("lower bound undefined for control length < 2")
     if l2 < 2:
@@ -97,7 +107,7 @@ def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     return l2 << (l1 - 2), l2 << (l1 - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackReport:
     """Everything measured while linearizing one shrinking generator."""
 
@@ -196,13 +206,17 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     on its first 2L bits (L cells), exactly, and any other window whole.
     """
     r1, r2 = gen.r1, gen.r2
+    l1, l2 = r1.length, r2.length
+    period = ((1 << l2) - 1) << (l1 - 1)
+    if 2 * period > MAX_WINDOW_BITS:
+        raise ValueError(
+            f"the window would be {2 * period} bits, over {MAX_WINDOW_BITS}"
+        )
     if not is_primitive(r1.charpoly):
         raise ValueError(f"control polynomial {r1.charpoly} must be primitive")
-    l1, l2 = r1.length, r2.length
     lin = linearize_shrinking_generator(l1, r2.charpoly)  # tests r2 for primitivity
     if not any(r1.state) or not any(r2.state):
         raise ValueError("register seeds must be nonzero")
-    period = ((1 << l2) - 1) << (l1 - 1)
     window = gen.shrunken_sequence(2 * period)
 
     # rules_b shares the characteristic polynomial of rules_a, so its

@@ -6,20 +6,22 @@ both ends.  Cells are numbered 1..L in prose; in code and wire formats
 everything is 0-based with cell 1 leftmost.  States are packed into int
 words, bit i = cell i+1, so one step is two shifts and a mask.
 
-Cell 1 observes the whole state: its bit at time k depends on cell k+1
-and on no cell beyond, so its first L bits fix the state, and its streams
-fill the L-dimensional solution space of chi(E) y = 0 (chi the
-characteristic polynomial) that every cell's stream lies in.  The rule
-solved for the right neighbour carries a stream from cell 1 across all
-the cells; `fit_initial_state` fits and checks a target that way, by
-the continuant recurrence of `_char_poly_bits` run on the target.
+Cell 1 observes the whole state.  Solved for the right neighbour, the
+rule gives cell k+1's stream as P_k(E) applied to cell 1's, where P_k is
+the k-th continuant P_0 = 1, P_k = (x + d_k) P_(k-1) + P_(k-2) (E the
+shift, d_k cell k's rule), and P_L is chi, the characteristic
+polynomial.  So cell 1's first L bits fix the state, and its streams
+fill the L-dimensional solution space of chi(E) y = 0 that every cell's
+stream lies in.  `fit_initial_state` runs that recurrence once on L-bit
+ints: the continuants read the state off the target's first L bits, and
+chi(E) applied to the whole target checks it.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .gf2poly import Gf2Poly, _numeral
+from .gf2poly import Gf2Poly, _mul_bits, _numeral
 
 __all__ = [
     "RuleVector",
@@ -36,12 +38,13 @@ __all__ = [
 class RuleVector:
     """Per-cell rule assignment: 0 = rule 90, 1 = rule 150.
 
-    Held as the packed mask of rule-150 cells (bit i = cell i+1) and the
-    length.  Wire form is ``^[01]+$`` with cell 1 leftmost; vectors order
-    as their wire forms do.
+    Held as one int: the packed mask of rule-150 cells (bit i = cell
+    i+1) under a marker bit at position L, so the length is the bit
+    length less one.  Wire form is ``^[01]+$`` with cell 1 leftmost;
+    vectors order as their wire forms do.
     """
 
-    __slots__ = ("mask150", "_length")
+    __slots__ = ("_marked",)
 
     def __init__(self, delta):
         delta = tuple(delta)
@@ -49,14 +52,26 @@ class RuleVector:
             raise ValueError("a rule vector needs at least one cell")
         if any(d not in (0, 1) for d in delta):
             raise ValueError("rule bits must be 0 or 1")
-        self.mask150, self._length = _numeral(delta[::-1]), len(delta)
+        self._marked = _numeral((1,) + delta[::-1])
+
+    @classmethod
+    def _from_mask(cls, mask150: int, length: int) -> "RuleVector":
+        """The vector of `length` cells whose rule-150 mask is `mask150`."""
+        rules = object.__new__(cls)
+        rules._marked = mask150 | (1 << length)
+        return rules
 
     @classmethod
     def parse(cls, text: str) -> "RuleVector":
         s = text.strip()
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"not a rule string: {text!r}")
-        return cls(map(int, s))
+        return cls._from_mask(int(s[::-1], 2), len(s))
+
+    @property
+    def mask150(self) -> int:
+        """The rule-150 cells, bit i = cell i+1."""
+        return self._marked ^ (1 << len(self))
 
     @property
     def delta(self) -> tuple[int, ...]:
@@ -64,10 +79,11 @@ class RuleVector:
         return tuple(map(int, str(self)))
 
     def mirror(self) -> "RuleVector":
-        return RuleVector.parse(str(self)[::-1])
+        length = len(self)
+        return RuleVector._from_mask(_reversed_mask(self.mask150, length), length)
 
     def __len__(self):
-        return self._length
+        return self._marked.bit_length() - 1
 
     def __iter__(self):
         return iter(self.delta)
@@ -75,7 +91,7 @@ class RuleVector:
     def __eq__(self, other):
         if not isinstance(other, RuleVector):
             return NotImplemented
-        return self._length == other._length and self.mask150 == other.mask150
+        return self._marked == other._marked
 
     def __lt__(self, other):
         if not isinstance(other, RuleVector):
@@ -83,13 +99,18 @@ class RuleVector:
         return str(self) < str(other)
 
     def __hash__(self):
-        return hash((RuleVector, self._length, self.mask150))
+        return hash((RuleVector, self._marked))
 
     def __str__(self):
-        return format(self.mask150, f"0{self._length}b")[::-1]
+        return format(self._marked, "b")[:0:-1]
 
     def __repr__(self):
         return f"RuleVector.parse({str(self)!r})"
+
+
+def _reversed_mask(mask: int, length: int) -> int:
+    """The `length`-bit mask read backwards: bit i moves to bit length-1-i."""
+    return int(format(mask, f"0{length}b")[::-1], 2)
 
 
 def state_from_bits(bits: Sequence[int]) -> int:
@@ -150,22 +171,27 @@ def fit_initial_state(
     """Find (cell, initial state) whose cell output reproduces `target`.
 
     The cell is always 0: cell 1 observes the whole state, so if any
-    cell replays the target, cell 1 does.  The rule solved for the right
-    neighbour, x_(k+1)(t) = x_k(t+1) + d_k x_k(t) + x_(k-1)(t), carries
-    the target across the cells on one packed int, cell k+1 fixed at
-    times 0..n-1-k: the space-time cells of a replay, by columns.  The
-    state is their time-0 column, and it replays the target iff the
-    implied cell L+1, the null boundary, is zero wherever it is fixed.
+    cell replays the target, cell 1 does.  Cell k+1 at time 0 is P_k(E)
+    applied to the target at time 0, P_k the k-th continuant of the
+    rules (see the module docstring), so the state is read off the
+    target's first L bits in L steps on ints of at most L + 1 bits.  The
+    last continuant is chi, and the state replays the target iff chi(E)
+    kills it wherever the whole operator fits in the window: the implied
+    cell L+1, the null boundary, is zero there.  That check is one
+    carry-less product, a shifted copy of the window per term of chi;
+    doubled rules have chi = base(x^(2^j)), whose terms are few.
     Returns (0, state) or None.  The target needs 2L or more 0/1 bits.
     """
     L, n = len(rules), len(target)
     if n < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
-    mask150, mask_all = rules.mask150, (1 << n) - 1
-    # Bit n-1-t of cur is cell k+1 at time t, of prev cell k.
-    prev, cur, state = 0, _numeral(target), 0
+    window = _numeral(target)  # bit n-1-t = target[t]; checks the bits
+    head = _reversed_mask(window >> (n - L), L)  # bit t = target[t], t < L
+    mask150 = rules.mask150
+    prev, cur, state = 0, 1, 0
     for k in range(L):
-        state |= (cur >> (n - 1)) << k
-        nxt = (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
-        prev, cur = cur, nxt & mask_all
-    return None if cur >> L else (0, state)
+        state |= ((cur & head).bit_count() & 1) << k
+        prev, cur = cur, (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
+    # Bit n-1-t of window * chi is (chi(E) target)(t), fixed for t < n-L.
+    kept = (1 << (n - L)) - 1
+    return None if (_mul_bits(window, cur) >> L) & kept else (0, state)

@@ -6,26 +6,33 @@ characteristic polynomial P is synthesized by exhaustive search; the
 doubling construction (flip the last rule, append the mirror image) is
 applied L1 - 1 times, squaring the characteristic polynomial each time.
 The control polynomial itself is never consulted, so all generators
-sharing (L1, P2) map to the same pair.
+sharing (L1, P2) map to the same pair.  The doubled length
+L = degree(base) * 2^(L1 - 1) is refused above MAX_CELLS before any
+doubling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import RuleVector, _char_poly_bits
+from .automata import RuleVector, _char_poly_bits, _reversed_mask
 from .gf2field import minimal_polynomial_of_power
 from .gf2poly import Gf2Poly, is_irreducible
 
 __all__ = [
+    "MAX_CELLS",
     "LinearizationResult",
     "concat_double",
     "synthesize_ca_pair",
     "linearize_shrinking_generator",
 ]
 
+MAX_CELLS = 1 << 16
+"""Most cells `linearize_shrinking_generator` builds an automaton of; the
+fit of one costs O(L^2) bit operations, about a second at this limit."""
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LinearizationResult:
     """Pair of rule vectors plus the parameters that produced them.
 
@@ -56,11 +63,13 @@ class LinearizationResult:
 def concat_double(rules: RuleVector) -> RuleVector:
     """Flip the last rule, then append the mirror image; length doubles.
 
-    The characteristic polynomial of the result is the square of the
-    input's.
+    On the packed mask: flip bit L-1, then place the head's L bits,
+    reversed, above it.  The characteristic polynomial of the result is
+    the square of the input's.
     """
-    head = rules.delta[:-1] + (rules.delta[-1] ^ 1,)
-    return RuleVector(head + head[::-1])
+    L = len(rules)
+    head = rules.mask150 ^ (1 << (L - 1))
+    return RuleVector._from_mask(head | (_reversed_mask(head, L) << L), 2 * L)
 
 
 def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
@@ -78,7 +87,7 @@ def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
     found = []
     for m in range(1 << r):
         if _char_poly_bits(m, r) == target:
-            found.append(RuleVector.parse(format(m, f"0{r}b")[::-1]))
+            found.append(RuleVector._from_mask(m, r))
     found.sort()
     if not 1 <= len(found) <= 2:
         raise RuntimeError(
@@ -98,8 +107,15 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
     """
     if l1 < 1:
         raise ValueError("control length must be >= 1")
+    # degree(base) >= 1, so L >= 2^(l1 - 1): a huge l1 is refused before
+    # 2^l1 is formed.
+    if l1 > MAX_CELLS.bit_length():
+        raise ValueError(f"control length {l1} gives over {MAX_CELLS} cells")
     n = (1 << l1) - 1
     base = minimal_polynomial_of_power(p2, n)  # tests p2 for primitivity
+    length = base.degree << (l1 - 1)
+    if length > MAX_CELLS:
+        raise ValueError(f"the automata would have {length} cells, over {MAX_CELLS}")
     pair = synthesize_ca_pair(base)
     degenerate = len(pair) == 1
     rules_a, rules_b = (pair[0], pair[0]) if degenerate else pair
@@ -111,7 +127,7 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
         rules_b=rules_b,
         base_poly=base,
         multiplicity=1 << (l1 - 1),
-        length=base.degree << (l1 - 1),
+        length=length,
         coset_n=n,
         degenerate=degenerate,
     )

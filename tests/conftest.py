@@ -6,9 +6,10 @@ polynomials of nested-list transition matrices, linear-system
 recurrence search, a bit-by-bit register and a literal
 generate-then-filter keystream, Berlekamp-Massey over a full-window
 history register, a bit-by-bit annihilation scan, minimal
-polynomials by exhaustive Horner evaluation, and initial-state fits by
-Gaussian elimination over every cell's observation equations.  Tests compare the
-production code against these slower routes.
+polynomials by exhaustive Horner evaluation, initial-state fits by
+Gaussian elimination over every cell's observation equations and by a
+sweep of whole-window columns across the cells, and doubling on per-cell
+tuples.  Tests compare the production code against these slower routes.
 """
 
 from __future__ import annotations
@@ -232,6 +233,34 @@ def elimination_fit(rules: RuleVector, target) -> tuple[int, int] | None:
         if produced == list(target):
             return cell, state
     return None
+
+
+def column_fit(rules: RuleVector, target) -> tuple[int, int] | None:
+    """(0, state) replaying the target from cell 1, or None, by columns.
+
+    The rule solved for the right neighbour, x_(k+1)(t) = x_k(t+1) +
+    d_k x_k(t) + x_(k-1)(t), carries the whole target across the cells on
+    one n-bit int: cell k+1 is fixed at times 0..n-1-k.  The state is the
+    time-0 column, and it replays the target iff the implied cell L+1,
+    the null boundary, is zero wherever it is fixed.
+    """
+    L, n = len(rules), len(target)
+    if n < 2 * L:
+        raise ValueError(f"target must supply at least {2 * L} bits")
+    mask150, mask_all = rules.mask150, (1 << n) - 1
+    # Bit n-1-t of cur is cell k+1 at time t, of prev cell k.
+    prev, cur, state = 0, int("".join(map(str, target)), 2), 0
+    for k in range(L):
+        state |= (cur >> (n - 1)) << k
+        nxt = (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
+        prev, cur = cur, nxt & mask_all
+    return None if cur >> L else (0, state)
+
+
+def tuple_double(rules: RuleVector) -> RuleVector:
+    """Flip the last rule, append the mirror image, on per-cell tuples."""
+    head = rules.delta[:-1] + (rules.delta[-1] ^ 1,)
+    return RuleVector(head + head[::-1])
 
 
 def literal_lfsr(reg: Lfsr, n: int) -> list[int]:

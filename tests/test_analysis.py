@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 import conftest as cf
+import shrinkca.analysis
 from shrinkca import (
     Gf2Poly,
     Lfsr,
@@ -243,6 +245,25 @@ class TestVerifyLinearization:
             report.linearization.rules_a,
             report.linearization.rules_b,
         )
+
+    def test_window_budget_boundary(self, monkeypatch):
+        # Generator A's window is 2 * 60 bits; the check comes before any
+        # keystream or automaton is built.
+        monkeypatch.setattr(shrinkca.analysis, "MAX_WINDOW_BITS", 120)
+        assert verify_linearization(cf.gen_a()).window_length == 120
+        monkeypatch.setattr(shrinkca.analysis, "MAX_WINDOW_BITS", 119)
+        monkeypatch.setattr(shrinkca.analysis, "linearize_shrinking_generator", None)
+        with pytest.raises(ValueError, match="window would be 120 bits, over 119"):
+            verify_linearization(cf.gen_a())
+
+    def test_results_have_slots(self):
+        report = verify_linearization(cf.gen_a())
+        bm = berlekamp_massey(cf.gen_a().shrunken_sequence(32))
+        assert not hasattr(report, "__dict__") and not hasattr(bm, "__dict__")
+        assert dataclasses.replace(bm, linear_complexity=0).linear_complexity == 0
+        moved = dataclasses.replace(report, verified_period=7)
+        assert moved.to_dict() == {**report.to_dict(), "verified_period": 7}
+        assert moved.to_text() == report.to_text().replace("period 60", "period 7")
 
     def test_replay_is_bit_exact(self):
         from shrinkca import ca_run, cell_output

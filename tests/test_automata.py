@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 import conftest as cf
 from shrinkca import (
     Gf2Poly,
+    Lfsr,
     RuleVector,
+    ShrinkingGenerator,
     ca_char_poly,
     ca_run,
     ca_step,
     cell_output,
     check_annihilation,
+    concat_double,
     fit_initial_state,
+    is_irreducible,
+    linearize_shrinking_generator,
     sequence_period,
     state_from_bits,
     state_to_bits,
+    synthesize_ca_pair,
 )
 
 
@@ -277,6 +283,69 @@ class TestFitInitialState:
             assert got == cf.elimination_fit(rules, target), (str(rules), target)
             fitted += got is not None
         assert 1200 <= fitted < 2400  # both outcomes well exercised
+
+    @staticmethod
+    def _flips(target, L):
+        """The target with one bit flipped at t = 0, L-1, L, 2L-1, 2L, n-1."""
+        n = len(target)
+        for t in sorted({0, L - 1, L, 2 * L - 1, 2 * L, n - 1}):
+            if t < n:
+                flipped = bytearray(target)
+                flipped[t] ^= 1
+                yield t, bytes(flipped)
+
+    def test_doubled_pairs_match_elimination_oracle(self):
+        # The rules the pipeline fits: a synthesized pair doubled j times,
+        # so chi = base(x^(2^j)) has few terms.  Targets of exactly 2L bits
+        # and longer: a cell's stream, the same with one bit flipped at
+        # each edge of the first two L-bit blocks and at the end, and zeros.
+        rng = random.Random(17)
+        fitted = flipped_fits = 0
+        for r in range(1, 11):
+            base = next(
+                p for p in map(Gf2Poly, range(1 << r, 1 << (r + 1))) if is_irreducible(p)
+            )
+            vectors = list(synthesize_ca_pair(base))
+            while len(vectors[0]) <= 160:
+                for rules in vectors:
+                    L = len(rules)
+                    for n in (2 * L, rng.randrange(2 * L + 1, 4 * L + 2)):
+                        states = ca_run(rules, rng.randrange(1, 1 << L), n - 1)
+                        target = bytes(cell_output(states, rng.randrange(L)))
+                        cases = [(None, target), (None, bytes(n))]
+                        cases += self._flips(target, L) if L <= 40 else []
+                        for t, case in cases:
+                            got = fit_initial_state(rules, case)
+                            assert got == cf.elimination_fit(rules, case), (str(rules), n, t)
+                            fitted += got is not None
+                            # chi(0) = 1 puts each flip under a check;
+                            # chi = x^L (base x) misses flips below L.
+                            if base.bits & 1:
+                                flipped_fits += t is not None and got is not None
+                vectors = [concat_double(v) for v in vectors]
+        assert fitted >= 150 and flipped_fits == 0
+
+    def test_wide_pipeline_window_matches_column_oracle(self):
+        # The (9, 5) attack: 1280 cells over a 15 872-bit keystream window.
+        p1, p2 = cf.first_primitive(9), cf.first_primitive(5)
+        gen = ShrinkingGenerator(Lfsr(p1, [1] + [0] * 8), Lfsr(p2, [1] + [0] * 4))
+        rules = linearize_shrinking_generator(9, p2).rules_a
+        L, window = len(rules), gen.shrunken_sequence(15872)
+        assert (L, len(window)) == (1280, 15872)
+        fit = fit_initial_state(rules, window)
+        assert fit is not None and fit == cf.column_fit(rules, window)
+        assert fit_initial_state(rules, window[: 2 * L]) == fit
+        assert fit_initial_state(rules, bytes(len(window))) == (0, 0)
+        for t, flipped in self._flips(window, L):
+            got = fit_initial_state(rules, flipped)
+            assert got is None and cf.column_fit(rules, flipped) is None, t
+
+    def test_single_cell_matches_elimination_oracle(self):
+        for rules in map(RuleVector.parse, ("0", "1")):
+            for n in range(2, 7):
+                for target in product((0, 1), repeat=n):
+                    got = fit_initial_state(rules, target)
+                    assert got == cf.elimination_fit(rules, target), (str(rules), target)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

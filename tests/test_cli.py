@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, address_space=None):
+    """`python -m shrinkca ARGV` in a fresh interpreter.  With
+    `address_space` (bytes), the child's RLIMIT_AS is capped, so a missing
+    size check fails with MemoryError instead of exhausting the host."""
+    env = dict(os.environ)
+    src = str(Path(shrinkca.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "shrinkca", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=cap if address_space else None,
+    )
 
 
 class TestStreams:
@@ -179,18 +198,33 @@ class TestAttack:
 
 class TestUsage:
     def test_control_out_of_ones_exits_two_without_traceback(self):
-        env = dict(os.environ)
-        src = str(Path(shrinkca.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "shrinkca", "shrink", "--p1", "011", "--s1", "10",
-             "--p2", "1011", "--s2", "100", "--count", "5"],
-            capture_output=True, text=True, env=env,
+        proc = run_child(
+            "shrink", "--p1", "011", "--s1", "10", "--p2", "1011", "--s2", "100",
+            "--count", "5",
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("shrinkca: error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # 2^39 cells: a missing check would double the pair 39 times.
+            (("linearize", "--l1", "40", "--p2", "111"),
+             "control length 40 gives over 65536 cells"),
+            (("linearize", "--l1", "17", "--p2", "111"),
+             "the automata would have 131072 cells, over 65536"),
+            # (5, 18): 8 388 576 window bits, twice the limit, over 288 cells.
+            (("attack", "--p1", "101001", "--s1", "10000",
+              "--p2", cf.first_primitive(18).to_bitstring(), "--s2", "1" + "0" * 17),
+             "the window would be 8388576 bits, over 4194304"),
+        ],
+    )
+    def test_size_budgets_exit_two_before_allocating(self, argv, message):
+        proc = run_child(*argv, address_space=1 << 30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"shrinkca: error: {message}\n"
 
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         # A failed invariant check is neither a false verdict (1) nor a

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import conftest as cf
+import shrinkca.linearizer
 from shrinkca import (
     Gf2Poly,
     Lfsr,
@@ -48,6 +50,20 @@ class TestConcatDouble:
             rules = RuleVector([rng.randrange(2) for _ in range(rng.randrange(1, 13))])
             p = ca_char_poly(rules)
             assert ca_char_poly(concat_double(rules)) == p * p
+
+    def test_matches_tuple_oracle(self):
+        # Every length 1..300 once, then chains of up to eight doublings.
+        rng = random.Random(32)
+        for length in range(1, 301):
+            rules = RuleVector([rng.randrange(2) for _ in range(length)])
+            assert concat_double(rules) == cf.tuple_double(rules), str(rules)
+        for _ in range(40):
+            packed = oracle = RuleVector(
+                [rng.randrange(2) for _ in range(rng.randrange(1, 20))]
+            )
+            for _ in range(rng.randrange(1, 9)):
+                packed, oracle = concat_double(packed), cf.tuple_double(oracle)
+                assert (str(packed), len(packed)) == (str(oracle), len(oracle))
 
 
 class TestSynthesize:
@@ -169,6 +185,23 @@ class TestLinearize:
         }
         assert RuleVector.parse(d["rules_a"]) == result.rules_a
         assert Gf2Poly.parse(d["base_poly"]) == result.base_poly
+
+    def test_cell_budget_boundary(self, monkeypatch):
+        p2 = Gf2Poly.parse(cf.R2B_POLY)  # L = 5 * 2^(l1 - 1)
+        monkeypatch.setattr(shrinkca.linearizer, "MAX_CELLS", 20)
+        assert linearize_shrinking_generator(3, p2).length == 20
+        monkeypatch.setattr(shrinkca.linearizer, "MAX_CELLS", 19)
+        with pytest.raises(ValueError, match="20 cells, over 19"):
+            linearize_shrinking_generator(3, p2)
+        # l1 = 6 forms no power of two before the check: L >= 2^5 > 19.
+        with pytest.raises(ValueError, match="control length 6 gives over 19 cells"):
+            linearize_shrinking_generator(6, p2)
+
+    def test_result_has_slots(self):
+        result = linearize_shrinking_generator(3, Gf2Poly.parse(cf.R2B_POLY))
+        assert not hasattr(result, "__dict__")
+        moved = dataclasses.replace(result, coset_n=9)
+        assert moved.to_dict() == {**result.to_dict(), "N": 9}
 
     def test_degenerate_data_length_one(self):
         result = linearize_shrinking_generator(2, Gf2Poly.parse("11"))
