@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .automata import RuleVector, fit_initial_state, state_to_bits
+from .automata import RuleVector, fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
-from .gf2poly import Gf2Poly, _numeral, is_primitive
+from .gf2poly import Gf2Poly, _bit_bytes, _numeral, _reversed_mask, _text, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
@@ -58,9 +58,8 @@ def berlekamp_massey(seq: Sequence[int]) -> BmResult:
     c, b = 1, 1  # current and previous feedback masks, bit 0 always set
     lc, m = 0, -1
     width, keep, rev = 64, (1 << 64) - 1, 0
+    seq = _bit_bytes(seq)
     for n, s in enumerate(seq):
-        if s not in (0, 1):
-            raise ValueError("sequence bits must be 0 or 1")
         rev = ((rev << 1) | s) & keep
         if (c & rev).bit_count() & 1:
             t = c
@@ -72,7 +71,7 @@ def berlekamp_massey(seq: Sequence[int]) -> BmResult:
                 keep = (1 << width) - 1
                 rev = _numeral(seq[max(0, n + 1 - width) : n + 1])
     # Characteristic-polynomial convention: reverse over degree lc.
-    return BmResult(Gf2Poly(int(format(c, f"0{lc + 1}b")[::-1], 2)), lc)
+    return BmResult(Gf2Poly(_reversed_mask(c, lc + 1)), lc)
 
 
 def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> bool:
@@ -131,11 +130,7 @@ class AttackReport:
     verdict: bool
 
     def to_dict(self) -> dict:
-        state = (
-            format_bits(state_to_bits(self.initial_state, self.linearization.length))
-            if self.initial_state is not None
-            else None
-        )
+        state, length = self.initial_state, self.linearization.length
         return {
             "generator": {
                 "l1": self.l1,
@@ -153,7 +148,7 @@ class AttackReport:
             "factorization_ok": self.factorization_ok,
             "matched_rules": str(self.matched_rules) if self.matched_rules else None,
             "matched_cell": self.matched_cell,
-            "initial_state": state,
+            "initial_state": None if state is None else _text(state, length),
             "window_length": self.window_length,
             "verified_period": self.verified_period,
             "verdict": self.verdict,
@@ -182,10 +177,9 @@ class AttackReport:
         else:
             lines.append("factorization FAILED")
         if self.verdict:
-            state = format_bits(state_to_bits(self.initial_state, lin.length))
             lines.append(
                 f"replay        cell {self.matched_cell} of {self.matched_rules},"
-                f" state {state}"
+                f" state {_text(self.initial_state, lin.length)}"
             )
             lines.append(
                 f"verified      period {self.verified_period}"

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .gf2poly import Gf2Poly, _mul_bits, _numeral
+from .gf2poly import Gf2Poly, _bit_bytes, _mask, _mul_bits, _numeral, _read_bits
+from .gf2poly import _reversed_mask, _text
 
 __all__ = [
     "RuleVector",
@@ -47,12 +48,10 @@ class RuleVector:
     __slots__ = ("_marked",)
 
     def __init__(self, delta):
-        delta = tuple(delta)
-        if len(delta) < 1:
+        delta = _bit_bytes(delta)
+        if not delta:
             raise ValueError("a rule vector needs at least one cell")
-        if any(d not in (0, 1) for d in delta):
-            raise ValueError("rule bits must be 0 or 1")
-        self._marked = _numeral((1,) + delta[::-1])
+        self._marked = _mask(delta) | (1 << len(delta))
 
     @classmethod
     def _from_mask(cls, mask150: int, length: int) -> "RuleVector":
@@ -63,10 +62,7 @@ class RuleVector:
 
     @classmethod
     def parse(cls, text: str) -> "RuleVector":
-        s = text.strip()
-        if not s or any(c not in "01" for c in s):
-            raise ValueError(f"not a rule string: {text!r}")
-        return cls._from_mask(int(s[::-1], 2), len(s))
+        return cls(_read_bits(text, "rule string"))
 
     @property
     def mask150(self) -> int:
@@ -102,20 +98,15 @@ class RuleVector:
         return hash((RuleVector, self._marked))
 
     def __str__(self):
-        return format(self._marked, "b")[:0:-1]
+        return _text(self.mask150, len(self))
 
     def __repr__(self):
         return f"RuleVector.parse({str(self)!r})"
 
 
-def _reversed_mask(mask: int, length: int) -> int:
-    """The `length`-bit mask read backwards: bit i moves to bit length-1-i."""
-    return int(format(mask, f"0{length}b")[::-1], 2)
-
-
 def state_from_bits(bits: Sequence[int]) -> int:
     """Pack a cell list (cell 1 first) into a state word."""
-    return _numeral(list(bits)[::-1])
+    return _mask(bits)
 
 
 def state_to_bits(state: int, length: int) -> list[int]:

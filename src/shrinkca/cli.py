@@ -3,7 +3,9 @@
 Subcommands: lfsr, shrink, ca run, ca charpoly, linearize, bm, attack.
 Bit strings are index-0-leftmost, polynomials ascending-coefficient;
 every printed canonical value parses back losslessly.  Counts are
-mandatory so identical invocations always print identical output.
+mandatory so identical invocations always print identical output, and
+``lfsr``, ``shrink`` and ``ca run`` refuse an output of over
+MAX_WINDOW_BITS bits ((steps + 1) * cells for ``ca run``) up front.
 
 Exit status: 0 on success, 1 when an attack verdict is false, 2 on
 usage or validation errors, 3 on an internal error (a failed invariant
@@ -17,7 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .analysis import berlekamp_massey, verify_linearization
+from .analysis import MAX_WINDOW_BITS, berlekamp_massey, verify_linearization
 from .automata import RuleVector, ca_char_poly, ca_run, state_from_bits, state_to_bits
 from .generators import Lfsr, ShrinkingGenerator, format_bits, parse_bits
 from .gf2poly import Gf2Poly
@@ -33,26 +35,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def finish(p, handler):
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("lfsr", help="emit a shift-register stream")
     p.add_argument("--poly", required=True, help="characteristic polynomial")
     p.add_argument("--seed", required=True, help="first degree-many output bits")
     p.add_argument("--count", type=int, required=True, help="bits to emit")
-    add_format(p)
-    p.set_defaults(handler=_cmd_lfsr)
+    finish(p, _cmd_lfsr)
+
+    def add_registers(p):
+        p.add_argument("--p1", required=True, help="control polynomial")
+        p.add_argument("--s1", required=True, help="control seed")
+        p.add_argument("--p2", required=True, help="data polynomial")
+        p.add_argument("--s2", required=True, help="data seed")
 
     p = sub.add_parser("shrink", help="emit a shrunken keystream")
-    p.add_argument("--p1", required=True, help="control polynomial")
-    p.add_argument("--s1", required=True, help="control seed")
-    p.add_argument("--p2", required=True, help="data polynomial")
-    p.add_argument("--s2", required=True, help="data seed")
+    add_registers(p)
     p.add_argument("--count", type=int, required=True, help="bits to emit")
-    add_format(p)
-    p.set_defaults(handler=_cmd_shrink)
+    finish(p, _cmd_shrink)
 
     ca = sub.add_parser("ca", help="hybrid 90/150 automaton tools")
     casub = ca.add_subparsers(dest="ca_command", required=True)
@@ -60,32 +64,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True, help="rule string, 0=90 1=150")
     p.add_argument("--state", required=True, help="initial cells, cell 1 leftmost")
     p.add_argument("--steps", type=int, required=True, help="steps to advance")
-    add_format(p)
-    p.set_defaults(handler=_cmd_ca_run)
+    finish(p, _cmd_ca_run)
     p = casub.add_parser("charpoly", help="characteristic polynomial of the rules")
     p.add_argument("--rules", required=True, help="rule string, 0=90 1=150")
-    add_format(p)
-    p.set_defaults(handler=_cmd_ca_charpoly)
+    finish(p, _cmd_ca_charpoly)
 
     p = sub.add_parser("linearize", help="synthesize the automaton pair")
     p.add_argument("--l1", type=int, required=True, help="control register length")
     p.add_argument("--p2", required=True, help="data polynomial (primitive)")
-    add_format(p)
-    p.set_defaults(handler=_cmd_linearize)
+    finish(p, _cmd_linearize)
 
     p = sub.add_parser("bm", help="linear complexity of a bit stream")
     p.add_argument("--seq", help="bit string to analyze")
     p.add_argument("--seq-file", help="file holding a [01\\s]+ stream")
-    add_format(p)
-    p.set_defaults(handler=_cmd_bm)
+    finish(p, _cmd_bm)
 
     p = sub.add_parser("attack", help="full linearization verdict")
-    p.add_argument("--p1", required=True, help="control polynomial")
-    p.add_argument("--s1", required=True, help="control seed")
-    p.add_argument("--p2", required=True, help="data polynomial")
-    p.add_argument("--s2", required=True, help="data seed")
-    add_format(p)
-    p.set_defaults(handler=_cmd_attack)
+    add_registers(p)
+    finish(p, _cmd_attack)
 
     return top
 
@@ -98,21 +94,32 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def _cmd_lfsr(args) -> int:
-    reg = Lfsr(Gf2Poly.parse(args.poly), parse_bits(args.seed))
-    bits = format_bits(reg.sequence(args.count))
+def _check_size(bits: int) -> None:
+    if bits > MAX_WINDOW_BITS:
+        raise ValueError(f"the output would be {bits} bits, over {MAX_WINDOW_BITS}")
+
+
+def _register(poly: str, seed: str) -> Lfsr:
+    return Lfsr(Gf2Poly.parse(poly), parse_bits(seed))
+
+
+def _generator(args) -> ShrinkingGenerator:
+    return ShrinkingGenerator(_register(args.p1, args.s1), _register(args.p2, args.s2))
+
+
+def _emit_stream(args, sequence) -> int:
+    _check_size(args.count)
+    bits = format_bits(sequence(args.count))
     _emit(args, [bits], {"bits": bits})
     return 0
+
+
+def _cmd_lfsr(args) -> int:
+    return _emit_stream(args, _register(args.poly, args.seed).sequence)
 
 
 def _cmd_shrink(args) -> int:
-    gen = ShrinkingGenerator(
-        Lfsr(Gf2Poly.parse(args.p1), parse_bits(args.s1)),
-        Lfsr(Gf2Poly.parse(args.p2), parse_bits(args.s2)),
-    )
-    bits = format_bits(gen.shrunken_sequence(args.count))
-    _emit(args, [bits], {"bits": bits})
-    return 0
+    return _emit_stream(args, _generator(args).shrunken_sequence)
 
 
 def _cmd_ca_run(args) -> int:
@@ -120,6 +127,7 @@ def _cmd_ca_run(args) -> int:
     cells = parse_bits(args.state)
     if len(cells) != len(rules):
         raise ValueError("state length must match the rule string")
+    _check_size((args.steps + 1) * len(rules))
     states = ca_run(rules, state_from_bits(cells), args.steps)
     rows = [format_bits(state_to_bits(s, len(rules))) for s in states]
     _emit(args, rows, {"states": rows})
@@ -157,11 +165,7 @@ def _cmd_bm(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    gen = ShrinkingGenerator(
-        Lfsr(Gf2Poly.parse(args.p1), parse_bits(args.s1)),
-        Lfsr(Gf2Poly.parse(args.p2), parse_bits(args.s2)),
-    )
-    report = verify_linearization(gen)
+    report = verify_linearization(_generator(args))
     _emit(args, [report.to_text()], report.to_dict())
     return 0 if report.verdict else 1
 

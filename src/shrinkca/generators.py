@@ -1,10 +1,9 @@
 """Shift-register keystream generation and bit-sequence utilities.
 
-Generated and parsed bit streams are 0/1 bytes, index 0 first emitted:
-`Lfsr.sequence`, `ShrinkingGenerator.shrunken_sequence` and `parse_bits`
-return them, and the attack pipeline reads them without unpacking.  Any
-sequence of 0/1 ints is accepted as input.  The text form is ``^[01]+$``
-with index 0 leftmost; `format_bits` prints it.  A register's
+Bit streams follow the codec in `gf2poly`: `Lfsr.sequence`,
+`ShrinkingGenerator.shrunken_sequence` and `parse_bits` return 0/1
+bytes, index 0 first emitted, which the attack pipeline reads without
+unpacking, and `format_bits` prints any 0/1 sequence.  A register's
 characteristic polynomial annihilates its stream: with P of degree r,
 every output bit satisfies a_n = sum of a_(n-r+j) over the set
 coefficients j < r of P.  The seed is the first r emitted bits, so
@@ -14,11 +13,10 @@ convention, where taps read from the other end, is not used.)
 
 from __future__ import annotations
 
-import re
 from math import gcd
 from typing import Sequence
 
-from .gf2poly import Gf2Poly, _bit_digits
+from .gf2poly import Gf2Poly, _bit_bytes, _bit_digits, _from_digits, _read_bits
 
 __all__ = [
     "Lfsr",
@@ -29,19 +27,14 @@ __all__ = [
     "decimate_by_stride",
 ]
 
-_BITS = re.compile(r"[01]+")
 _LEAP_MAX = 4096  # largest block of bits one leap step generates
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 # Pair bytes 2*control + data: the kept ones, 2 and 3, become data bits.
 _KEPT = bytes.maketrans(b"\2\3", b"\0\1")
 
 
 def parse_bits(text: str) -> bytes:
     """Parse ``^[01]+$`` into 0/1 bytes, index 0 leftmost."""
-    s = text.strip()
-    if not _BITS.fullmatch(s):
-        raise ValueError(f"not a bit string: {text!r}")
-    return s.encode().translate(_FROM_DIGITS)
+    return _read_bits(text)
 
 
 def format_bits(bits: Sequence[int]) -> str:
@@ -62,13 +55,10 @@ class Lfsr:
         r = charpoly.degree
         if r < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
-        state = tuple(state)
-        if len(state) != r:
+        self.state = tuple(_bit_bytes(state))
+        if len(self.state) != r:
             raise ValueError(f"seed must supply exactly {r} bits")
-        if any(b not in (0, 1) for b in state):
-            raise ValueError("seed bits must be 0 or 1")
         self.charpoly = charpoly
-        self.state = tuple(map(int, state))
         self._lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
 
     @property
@@ -94,7 +84,7 @@ class Lfsr:
                 new ^= blocks[-lag]
             blocks.append(new)
         digits = "".join(format(block, f"0{size}b") for block in blocks)
-        return digits[:n].encode().translate(_FROM_DIGITS)
+        return _from_digits(digits[:n])
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"

@@ -6,6 +6,11 @@ trailing zero coefficients) is automatic.  Two text forms are accepted:
 ascending coefficient strings like ``"101001"`` (= 1 + x^2 + x^5) and
 term sums like ``"1+x^2+x^5"``, where duplicate terms cancel.  The
 canonical output form is the ascending bit string.
+
+It also holds the package's bit codec: a bit sequence is any sequence
+of the ints 0 and 1 (bools pass, ``1.0`` does not), held as 0/1 bytes,
+index 0 first; its text is ``[01]+``, index 0 leftmost; a mask packs it
+least significant first, as polynomials, rules and states are.
 """
 
 from __future__ import annotations
@@ -26,22 +31,57 @@ __all__ = [
 _BITSTRING = re.compile(r"[01]+")
 _TERM = re.compile(r"1|x(\^[0-9]+)?")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _bit_digits(seq) -> bytes:
-    """A 0/1 sequence as its ASCII digits b"0"/b"1", seq[0] first."""
+def _bit_bytes(seq) -> bytes:
+    """A 0/1 sequence as 0/1 bytes; every bit input passes this check."""
     try:
         raw = seq if isinstance(seq, bytes) else bytes(list(seq))
     except (TypeError, ValueError):  # an item that is not an int in range(256)
         raise ValueError("sequence bits must be 0 or 1") from None
     if raw.translate(None, b"\0\1"):
         raise ValueError("sequence bits must be 0 or 1")
-    return raw.translate(_TO_DIGITS)
+    return raw
+
+
+def _bit_digits(seq) -> bytes:
+    """A 0/1 sequence as its ASCII digits b"0"/b"1", seq[0] first."""
+    return _bit_bytes(seq).translate(_TO_DIGITS)
+
+
+def _from_digits(digits: str) -> bytes:
+    """The 0/1 bytes of a text known to hold only the digits 0 and 1."""
+    return digits.encode().translate(_FROM_DIGITS)
+
+
+def _read_bits(text: str, what: str = "bit string") -> bytes:
+    """The 0/1 bytes of a ``[01]+`` text, index 0 leftmost and surrounding
+    whitespace ignored; any other text is not a `what`."""
+    s = text.strip()
+    if not _BITSTRING.fullmatch(s):
+        raise ValueError(f"not a {what}: {text!r}")
+    return _from_digits(s)
 
 
 def _numeral(seq) -> int:
     """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
     return int(_bit_digits(seq) or b"0", 2)
+
+
+def _mask(seq) -> int:
+    """A 0/1 sequence packed least significant first: bit i = seq[i]."""
+    return int(_bit_digits(seq)[::-1] or b"0", 2)
+
+
+def _text(mask: int, length: int) -> str:
+    """The text of a `length`-bit mask, bit 0 leftmost; "0" for (0, 0)."""
+    return format(mask, f"0{length}b")[::-1]
+
+
+def _reversed_mask(mask: int, length: int) -> int:
+    """The `length`-bit mask read backwards: bit i moves to bit length-1-i."""
+    return int(_text(mask, length), 2)
 
 
 def _mul_bits(a: int, b: int) -> int:
@@ -81,7 +121,7 @@ class Gf2Poly:
     @classmethod
     def from_coeffs(cls, coeffs) -> "Gf2Poly":
         """Build from an ascending coefficient iterable of 0/1 values."""
-        return cls(_numeral(list(coeffs)[::-1]))
+        return cls(_mask(coeffs))
 
     @classmethod
     def parse(cls, text: str) -> "Gf2Poly":
@@ -114,9 +154,7 @@ class Gf2Poly:
 
     def to_bitstring(self) -> str:
         """Canonical ascending-coefficient text form."""
-        if self.bits == 0:
-            return "0"
-        return format(self.bits, "b")[::-1]
+        return _text(self.bits, self.bits.bit_length())
 
     def to_terms(self) -> str:
         """Human form, ascending: ``1+x^2+x^5``."""

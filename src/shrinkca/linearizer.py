@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import RuleVector, _char_poly_bits, _reversed_mask
+from .automata import RuleVector, _char_poly_bits
 from .gf2field import minimal_polynomial_of_power
-from .gf2poly import Gf2Poly, is_irreducible
+from .gf2poly import Gf2Poly, _reversed_mask, is_irreducible
 
 __all__ = [
     "MAX_CELLS",

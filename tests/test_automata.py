@@ -49,7 +49,7 @@ class TestRuleVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             RuleVector(())
-        for bad in (2, 1.5, -1):
+        for bad in (2, 1.5, -1, 1.0):
             with pytest.raises(ValueError, match="0 or 1"):
                 RuleVector((0, bad))
         assert RuleVector((True, False)).delta == (1, 0)

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as cf
 import shrinkca
@@ -219,12 +223,41 @@ class TestUsage:
             (("attack", "--p1", "101001", "--s1", "10000",
               "--p2", cf.first_primitive(18).to_bitstring(), "--s2", "1" + "0" * 17),
              "the window would be 8388576 bits, over 4194304"),
+            (("lfsr", "--poly", "1011", "--seed", "100", "--count", "10000000000"),
+             "the output would be 10000000000 bits, over 4194304"),
+            (("shrink", "--p1", "1011", "--s1", "100", "--p2", "11001", "--s2", "1000",
+              "--count", "10000000000"),
+             "the output would be 10000000000 bits, over 4194304"),
+            (("ca", "run", "--rules", "01", "--state", "10", "--steps", "1000000000"),
+             "the output would be 2000000002 bits, over 4194304"),
         ],
     )
     def test_size_budgets_exit_two_before_allocating(self, argv, message):
         proc = run_child(*argv, address_space=1 << 30)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"shrinkca: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["lfsr", "--poly", cf.R1_POLY, "--seed", cf.R1_SEED, "--count"], 19),
+            (["shrink", "--p1", cf.R1_POLY, "--s1", cf.R1_SEED,
+              "--p2", cf.R2A_POLY, "--s2", cf.R2A_SEED, "--count"], 19),
+            # 19 steps print 20 rows of 2 cells.
+            (["ca", "run", "--rules", "01", "--state", "10", "--steps"], 40),
+        ],
+        ids=["lfsr", "shrink", "ca-run"],
+    )
+    def test_output_budget_is_exact(self, capsys, monkeypatch, argv, size):
+        import shrinkca.cli
+
+        monkeypatch.setattr(shrinkca.cli, "MAX_WINDOW_BITS", size)
+        code, out, err = run_cli(capsys, *argv, "19")
+        assert (code, err) == (0, "") and out
+        monkeypatch.setattr(shrinkca.cli, "MAX_WINDOW_BITS", size - 1)
+        code, out, err = run_cli(capsys, *argv, "19")
+        assert (code, out) == (2, "")
+        assert err == f"shrinkca: error: the output would be {size} bits, over {size - 1}\n"
 
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         # A failed invariant check is neither a false verdict (1) nor a
@@ -265,3 +298,67 @@ class TestUsage:
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
+
+
+# Random argv: polynomials of degree <= 12, seeds, rules and counts, valid
+# or not.  The degree stays small because is_primitive factors 2^r - 1 by
+# trial division, which stalls at degrees near 61.
+_VALUES = st.sampled_from(
+    ["111", "1011", "11001", "10", "100", "1000", "1+x+x^3", "", " ", "2", "x^", "10a1", "-1"]
+) | st.text("01", min_size=1, max_size=13)
+_COUNTS = st.integers(-2, 40).map(str) | st.sampled_from(["10000000000", "x", "1.5", ""])
+
+
+def _flag(name, values):
+    return st.fixed_dictionaries({name: values})
+
+
+def _register(poly, seed):
+    """Two unrelated values, or a degree-d polynomial with a d-bit seed."""
+    fitting = st.integers(1, 12).flatmap(
+        lambda d: st.fixed_dictionaries({
+            poly: st.text("01", min_size=d, max_size=d).map(lambda t: t + "1"),
+            seed: st.text("01", min_size=d, max_size=d),
+        })
+    )
+    return st.fixed_dictionaries({poly: _VALUES, seed: _VALUES}) | fitting
+
+
+_REGISTERS = [_register("--p1", "--s1"), _register("--p2", "--s2")]
+_FLAGS = {
+    ("lfsr",): [_register("--poly", "--seed"), _flag("--count", _COUNTS)],
+    ("shrink",): [*_REGISTERS, _flag("--count", _COUNTS)],
+    ("ca", "run"): [_register("--rules", "--state"), _flag("--steps", _COUNTS)],
+    ("ca", "charpoly"): [_flag("--rules", _VALUES)],
+    ("linearize",): [_flag("--l1", _COUNTS), _flag("--p2", _VALUES)],
+    ("bm",): [_flag("--seq", _VALUES), _flag("--seq-file", _VALUES)],
+    ("attack",): _REGISTERS,
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = list(command)
+    for group in _FLAGS[command]:
+        if draw(st.integers(0, 7)):  # a group is left out one time in eight
+            for flag, value in draw(group).items():
+                argv += [flag, value]
+    fmt = draw(st.sampled_from([None, "text", "json", "xml"]))
+    return argv + ["--format", fmt] if fmt else argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_random_argv_ends_in_a_documented_exit_code(argv):
+    # Every draw returns or exits through argparse with 0-3; any other
+    # exception fails the test.  capsys is function-scoped, so output is
+    # captured by redirection.
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -70,7 +70,7 @@ class TestLfsr:
         with pytest.raises(ValueError):
             Lfsr(Gf2Poly.parse("1"), [])
 
-    @pytest.mark.parametrize("bad", [2, 1.5, 1.7, -1])
+    @pytest.mark.parametrize("bad", [2, 1.5, 1.7, -1, 1.0])
     def test_seed_bits_must_be_binary(self, bad):
         with pytest.raises(ValueError, match="0 or 1"):
             Lfsr(Gf2Poly.parse("111"), [bad, 0])
