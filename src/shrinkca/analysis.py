@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
-from .gf2poly import Gf2Poly, _bit_bytes, _numeral, _reversed_mask, _text, is_primitive
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _numeral, _reversed_mask, _text
+from .gf2poly import is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
@@ -31,12 +32,6 @@ __all__ = [
     "lc_bounds",
     "verify_linearization",
 ]
-
-MAX_WINDOW_BITS = 1 << 22
-"""Longest keystream window `verify_linearization` generates.  The
-window is 2^(L1+L2) - 2^L1 bits, so this admits every generator with
-L1 + L2 <= 22; it takes about 60 MB at the limit."""
-
 
 @dataclass(frozen=True, slots=True)
 class BmResult:
@@ -110,12 +105,7 @@ def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
 class AttackReport:
     """Everything measured while linearizing one shrinking generator."""
 
-    l1: int
-    l2: int
-    p1: Gf2Poly
-    p2: Gf2Poly
-    seed1: tuple
-    seed2: tuple
+    generator: ShrinkingGenerator
     linearization: LinearizationResult
     linear_complexity: int
     lc_bounds: Optional[tuple[int, int]]
@@ -131,14 +121,15 @@ class AttackReport:
 
     def to_dict(self) -> dict:
         state, length = self.initial_state, self.linearization.length
+        r1, r2 = self.generator.r1, self.generator.r2
         return {
             "generator": {
-                "l1": self.l1,
-                "p1": self.p1.to_bitstring(),
-                "seed1": format_bits(self.seed1),
-                "l2": self.l2,
-                "p2": self.p2.to_bitstring(),
-                "seed2": format_bits(self.seed2),
+                "l1": r1.length,
+                "p1": r1.charpoly.to_bitstring(),
+                "seed1": format_bits(r1.state),
+                "l2": r2.length,
+                "p2": r2.charpoly.to_bitstring(),
+                "seed2": format_bits(r2.state),
             },
             "linearization": self.linearization.to_dict(),
             "linear_complexity": self.linear_complexity,
@@ -155,10 +146,10 @@ class AttackReport:
         }
 
     def to_text(self) -> str:
-        lin = self.linearization
+        lin, r1, r2 = self.linearization, self.generator.r1, self.generator.r2
         lines = [
-            f"generator     l1={self.l1} p1={self.p1} seed1={format_bits(self.seed1)}"
-            f" | l2={self.l2} p2={self.p2} seed2={format_bits(self.seed2)}",
+            f"generator     l1={r1.length} p1={r1.charpoly} seed1={format_bits(r1.state)}"
+            f" | l2={r2.length} p2={r2.charpoly} seed2={format_bits(r2.state)}",
             f"automata      {lin.rules_a} / {lin.rules_b}"
             f" (L={lin.length}, base={lin.base_poly}, p={lin.multiplicity}, N={lin.coset_n})",
         ]
@@ -170,7 +161,7 @@ class AttackReport:
             )
         else:
             lines.append(f"complexity    LC={self.linear_complexity}")
-        if self.measured_multiplicity is not None and self.factorization_ok:
+        if self.factorization_ok:
             lines.append(
                 f"factorization {lin.base_poly}^{self.measured_multiplicity} confirmed"
             )
@@ -223,35 +214,25 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     # A replayed window obeys chi(E) of degree L = lin.length, so by
     # Massey's theorem its first 2L bits fix its polynomial.
     bm = berlekamp_massey(window[: 2 * lin.length] if verdict else window)
+    lc, base = bm.linear_complexity, lin.base_poly
     try:
         bounds: Optional[tuple[int, int]] = lc_bounds(l1, l2)
     except ValueError:  # no bracket for a register of length 1
         bounds = None
-    lc_ok = bounds[0] < bm.linear_complexity <= bounds[1] if bounds else None
-
-    # deg(base) = l2, so an LC above the bracket's floor is a multiplicity
-    # above 2**(l1-2); without a bracket any multiplicity >= 1 counts.
-    base = lin.base_poly
-    floor = bounds[0] if bounds else 0
-    mult: Optional[int] = None
-    fact_ok = False
-    if bm.linear_complexity > floor and bm.linear_complexity % base.degree == 0:
-        candidate = bm.linear_complexity // base.degree
-        if base**candidate == bm.connection_poly and candidate <= lin.multiplicity:
-            mult, fact_ok = candidate, True
+    # One bracket (lo, hi] decides both checks; hi is L either way, as
+    # coprime lengths give deg(base) = l2.  The equality fixes LC as a
+    # multiple of deg(base), so LC <= L caps the multiplicity at p.
+    lo, hi = bounds or (0, lin.length)
+    inside = lo < lc <= hi
+    fact_ok = inside and base ** (lc // base.degree) == bm.connection_poly
 
     return AttackReport(
-        l1=l1,
-        l2=l2,
-        p1=r1.charpoly,
-        p2=r2.charpoly,
-        seed1=r1.state,
-        seed2=r2.state,
+        generator=gen,
         linearization=lin,
-        linear_complexity=bm.linear_complexity,
+        linear_complexity=lc,
         lc_bounds=bounds,
-        lc_in_bounds=lc_ok,
-        measured_multiplicity=mult,
+        lc_in_bounds=inside if bounds else None,
+        measured_multiplicity=lc // base.degree if fact_ok else None,
         factorization_ok=fact_ok,
         matched_rules=matched_rules,
         matched_cell=matched_cell,

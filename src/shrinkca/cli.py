@@ -5,7 +5,8 @@ Bit strings are index-0-leftmost, polynomials ascending-coefficient;
 every printed canonical value parses back losslessly.  Counts are
 mandatory so identical invocations always print identical output, and
 ``lfsr``, ``shrink`` and ``ca run`` refuse an output of over
-MAX_WINDOW_BITS bits ((steps + 1) * cells for ``ca run``) up front.
+MAX_WINDOW_BITS bits ((steps + 1) * cells for ``ca run``) up front;
+``bm`` refuses a longer stream, reading at most one chunk past it.
 
 Exit status: 0 on success, 1 when an attack verdict is false, 2 on
 usage or validation errors, 3 on an internal error (a failed invariant
@@ -149,11 +150,16 @@ def _cmd_linearize(args) -> int:
 def _cmd_bm(args) -> int:
     if (args.seq is None) == (args.seq_file is None):
         raise ValueError("provide exactly one of --seq or --seq-file")
+    text = args.seq
     if args.seq_file is not None:
+        text = ""
         with open(args.seq_file, "r", encoding="ascii") as fh:
-            text = "".join(fh.read().split())
-    else:
-        text = args.seq
+            # Whitespace goes as each chunk is read, so at most one chunk
+            # past the bound is ever held.
+            while len(text) <= MAX_WINDOW_BITS and (chunk := fh.read(1 << 16)):
+                text += "".join(chunk.split())
+    if len(text.strip()) > MAX_WINDOW_BITS:
+        raise ValueError(f"the stream is over {MAX_WINDOW_BITS} bits")
     result = berlekamp_massey(parse_bits(text))
     poly = result.connection_poly.to_bitstring()
     _emit(

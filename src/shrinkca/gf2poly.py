@@ -28,6 +28,12 @@ __all__ = [
     "is_primitive",
 ]
 
+MAX_WINDOW_BITS = 1 << 22
+"""Bound in bits on the attack window, a printed stream or orbit and a
+`bm` stream, and so on the term exponents `Gf2Poly.parse` accepts: no
+larger degree fits any of them.  The window is 2^(L1+L2) - 2^L1 bits,
+so every L1 + L2 <= 22 fits; it takes about 60 MB at the bound."""
+
 _BITSTRING = re.compile(r"[01]+")
 _TERM = re.compile(r"1|x(\^[0-9]+)?")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -125,7 +131,8 @@ class Gf2Poly:
 
     @classmethod
     def parse(cls, text: str) -> "Gf2Poly":
-        """Parse an ascending bit string or a ``1+x^2+x^5`` term sum."""
+        """Parse an ascending bit string or a ``1+x^2+x^5`` term sum; a term
+        exponent over MAX_WINDOW_BITS is refused before it is expanded."""
         s = text.strip()
         if _BITSTRING.fullmatch(s):
             return cls(int(s[::-1], 2))
@@ -141,7 +148,10 @@ class Gf2Poly:
             elif term == "x":
                 bits ^= 2
             else:
-                bits ^= 1 << int(term[2:])
+                k = int(term[2:])
+                if k > MAX_WINDOW_BITS:
+                    raise ValueError(f"term exponent {k} is over {MAX_WINDOW_BITS}")
+                bits ^= 1 << k
         return cls(bits)
 
     @property

@@ -410,8 +410,31 @@ class TestVerifyLinearization:
             assert report.linear_complexity == lc
             assert not report.factorization_ok and not report.verdict
 
+    @pytest.mark.parametrize(
+        "window_poly,inside",
+        [(lambda base: cf.first_primitive(12), True), (lambda base: base**5, False)],
+        ids=["primitive-lc12", "base-to-the-p-plus-1-lc20"],
+    )
+    def test_factorization_needs_a_bounded_power_of_the_base(
+        self, monkeypatch, window_poly, inside
+    ):
+        # At (3, 4) the bracket is (8, 16], deg(base) = 4 and p = 4.  A
+        # primitive degree-12 stream lies inside it but is no power of the
+        # base; base^(p+1) is one, but above the bracket.
+        gen = cf.gen_a()
+        poly = window_poly(verify_linearization(gen).linearization.base_poly)
+        window = Lfsr(poly, [0] * (poly.degree - 1) + [1]).sequence(120)
+        monkeypatch.setattr(ShrinkingGenerator, "shrunken_sequence", lambda self, n: window[:n])
+        report = verify_linearization(gen)
+        assert report.linear_complexity == poly.degree
+        assert report.lc_in_bounds is inside
+        assert not report.factorization_ok and report.measured_multiplicity is None
+        assert "factorization FAILED" in report.to_text() and not report.verdict
+
     def test_report_serialization(self):
-        report = verify_linearization(cf.gen_a())
+        gen = cf.gen_a()
+        report = verify_linearization(gen)
+        assert report.generator is gen and repr(gen) in repr(report)
         d = report.to_dict()
         assert d["verdict"] is True
         assert d["generator"]["p1"] == cf.R1_POLY

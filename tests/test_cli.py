@@ -230,6 +230,14 @@ class TestUsage:
              "the output would be 10000000000 bits, over 4194304"),
             (("ca", "run", "--rules", "01", "--state", "10", "--steps", "1000000000"),
              "the output would be 2000000002 bits, over 4194304"),
+            # 1 << 10**10 would take 1.25 GB before any subcommand ran.
+            (("linearize", "--l1", "3", "--p2", "1+x^10000000000"),
+             "term exponent 10000000000 is over 4194304"),
+            (("attack", "--p1", "1011", "--s1", "100", "--p2", "1+x^10000000000",
+              "--s2", "1000"),
+             "term exponent 10000000000 is over 4194304"),
+            (("lfsr", "--poly", "1+x^10000000000", "--seed", "1", "--count", "5"),
+             "term exponent 10000000000 is over 4194304"),
         ],
     )
     def test_size_budgets_exit_two_before_allocating(self, argv, message):
@@ -258,6 +266,33 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv, "19")
         assert (code, out) == (2, "")
         assert err == f"shrinkca: error: the output would be {size} bits, over {size - 1}\n"
+
+    @pytest.mark.parametrize("tail", [0, 1 << 31], ids=["digits", "sparse-2GiB-tail"])
+    def test_bm_stream_budget_exits_two_before_allocating(self, tmp_path, tail):
+        # One digit over the bound; a sparse tail of NULs past it is never
+        # read, so a reader that held the whole file would exhaust the cap.
+        path = tmp_path / "stream.txt"
+        path.write_text("1" * (shrinkca.MAX_WINDOW_BITS + 1))
+        if tail:
+            os.truncate(path, tail)
+        proc = run_child("bm", "--seq-file", str(path), address_space=1 << 30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "shrinkca: error: the stream is over 4194304 bits\n"
+
+    @pytest.mark.parametrize("flag", ["--seq", "--seq-file"])
+    def test_bm_input_budget_is_exact(self, capsys, monkeypatch, tmp_path, flag):
+        import shrinkca.cli
+
+        stream = cf.R2A_STREAM * 2
+        path = tmp_path / "stream.txt"
+        path.write_text(" ".join(stream) + "\n")  # whitespace is not counted
+        source = stream if flag == "--seq" else str(path)
+        monkeypatch.setattr(shrinkca.cli, "MAX_WINDOW_BITS", len(stream))
+        assert run_cli(capsys, "bm", flag, source) == (0, f"lc=4 charpoly={cf.R2A_POLY}\n", "")
+        monkeypatch.setattr(shrinkca.cli, "MAX_WINDOW_BITS", len(stream) - 1)
+        code, out, err = run_cli(capsys, "bm", flag, source)
+        assert (code, out) == (2, "")
+        assert err == f"shrinkca: error: the stream is over {len(stream) - 1} bits\n"
 
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         # A failed invariant check is neither a false verdict (1) nor a

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import first_primitive, long_division_lists, trial_division_irreducible
 from shrinkca import ONE, X, ZERO, Gf2Poly, is_irreducible, is_primitive, poly_gcd, poly_powmod
+from shrinkca.gf2poly import MAX_WINDOW_BITS
 
 
 def P(text):
@@ -51,6 +52,12 @@ class TestParseFormat:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             P(bad)
+
+    def test_term_exponent_bound_is_exact(self):
+        # Refused before the shift: 1 << 10**10 alone would take 1.25 GB.
+        assert P(f"1+x^{MAX_WINDOW_BITS}").degree == MAX_WINDOW_BITS
+        with pytest.raises(ValueError, match=f"term exponent {MAX_WINDOW_BITS + 1} is over"):
+            P(f"1+x^{MAX_WINDOW_BITS + 1}")
 
     @pytest.mark.parametrize("bad", [[0, -1], [0, 256], [1.5, 0], [0, 2]])
     def test_from_coeffs_names_every_non_bit(self, bad):
