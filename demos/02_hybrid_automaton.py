@@ -10,7 +10,6 @@ from shrinkca import (
     RuleVector,
     ca_char_poly,
     ca_run,
-    ca_step,
     cell_output,
     sequence_period,
     state_from_bits,
@@ -38,7 +37,8 @@ print("cell-sequence periods:", [
 # Its characteristic polynomial is an irreducible square.
 print("transition matrix:")
 for i in range(len(rules)):
-    print(" ", " ".join(str(b) for b in state_to_bits(ca_step(rules, 1 << i), len(rules))))
+    row = ca_run(rules, 1 << i, 1)[1]
+    print(" ", " ".join(str(b) for b in state_to_bits(row, len(rules))))
 poly = ca_char_poly(rules)
 print("characteristic polynomial:", poly.to_terms())
 base = ca_char_poly(RuleVector.parse("01111"))

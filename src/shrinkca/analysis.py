@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
-from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _numeral, _reversed_mask, _text
-from .gf2poly import is_primitive
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _annihilates, _bit_bytes, _numeral
+from .gf2poly import _reversed_mask, _text, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
@@ -70,11 +70,8 @@ def berlekamp_massey(seq: Sequence[int]) -> BmResult:
 
 
 def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> bool:
-    """True iff the shift operator q(E)**multiplicity kills the window.
-
-    Bit len - 1 - i of the packed window times the operator (a carry-less
-    product, one shift per tap) is the operator applied at position i.
-    """
+    """True iff the shift operator q(E)**multiplicity kills the window:
+    one carry-less product of the packed window and the operator."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
     mask_poly = q**multiplicity
@@ -83,8 +80,7 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
         raise ValueError("the zero operator annihilates nothing meaningfully")
     if len(seq) < span + 1:
         raise ValueError(f"window shorter than the operator span {span + 1}")
-    acc = (Gf2Poly(_numeral(seq)) * mask_poly).bits
-    return not (acc >> span) & ((1 << (len(seq) - span)) - 1)
+    return _annihilates(mask_poly.bits, _numeral(seq), len(seq))
 
 
 @lru_cache(maxsize=64)

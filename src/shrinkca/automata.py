@@ -19,16 +19,15 @@ chi(E) applied to the whole target checks it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .gf2poly import Gf2Poly, _bit_bytes, _mask, _mul_bits, _numeral, _read_bits
-from .gf2poly import _reversed_mask, _text
+from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask, _numeral
+from .gf2poly import _read_bits, _reversed_mask, _text
 
 __all__ = [
     "RuleVector",
     "state_from_bits",
     "state_to_bits",
-    "ca_step",
     "ca_run",
     "cell_output",
     "ca_char_poly",
@@ -109,30 +108,33 @@ def state_from_bits(bits: Sequence[int]) -> int:
     return _mask(bits)
 
 
-def state_to_bits(state: int, length: int) -> list[int]:
-    """Unpack a state word into its cell list."""
+def state_to_bits(state: int, length: int) -> bytes:
+    """Unpack a state word into its cells as 0/1 bytes, cell 1 first."""
     if not 0 <= state < (1 << length):
         raise ValueError("state does not fit the given length")
-    return [(state >> i) & 1 for i in range(length)]
+    return _from_digits(_text(state, length))[:length]  # the empty mask's text is "0"
 
 
-def ca_step(rules: RuleVector, state: int) -> int:
-    """Advance one time step under the per-cell rules."""
-    return ca_run(rules, state, 1)[1]
-
-
-def ca_run(rules: RuleVector, state: int, steps: int) -> list[int]:
-    """States at times 0..steps inclusive."""
+def _orbit(rules: RuleVector, state: int, steps: int) -> Iterator[int]:
+    """The states at times 0..steps, one at a time.  The arguments are
+    checked here, before the first state is asked for."""
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     if not isinstance(state, int) or not 0 <= state < (1 << len(rules)):
         raise ValueError(f"state does not fit an automaton of length {len(rules)}")
-    out = [state]
-    mask150, mask_all = rules.mask150, (1 << len(rules)) - 1
-    for _ in range(steps):
-        state = ((state << 1) ^ (state >> 1) ^ (state & mask150)) & mask_all
-        out.append(state)
-    return out
+
+    def states(state, mask150, mask_all):
+        yield state
+        for _ in range(steps):
+            state = ((state << 1) ^ (state >> 1) ^ (state & mask150)) & mask_all
+            yield state
+
+    return states(state, rules.mask150, (1 << len(rules)) - 1)
+
+
+def ca_run(rules: RuleVector, state: int, steps: int) -> list[int]:
+    """States at times 0..steps inclusive."""
+    return list(_orbit(rules, state, steps))
 
 
 def cell_output(states: Sequence[int], cell: int) -> list[int]:
@@ -183,6 +185,4 @@ def fit_initial_state(
     for k in range(L):
         state |= ((cur & head).bit_count() & 1) << k
         prev, cur = cur, (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
-    # Bit n-1-t of window * chi is (chi(E) target)(t), fixed for t < n-L.
-    kept = (1 << (n - L)) - 1
-    return None if (_mul_bits(window, cur) >> L) & kept else (0, state)
+    return (0, state) if _annihilates(cur, window, n) else None

@@ -9,8 +9,9 @@ MAX_WINDOW_BITS bits ((steps + 1) * cells for ``ca run``) up front;
 ``bm`` refuses a longer stream, reading at most one chunk past it.
 
 Exit status: 0 on success, 1 when an attack verdict is false, 2 on
-usage or validation errors, 3 on an internal error (a failed invariant
-check, reported as ``shrinkca: internal error: ...``).
+usage or validation errors and when memory runs out, 3 on an internal
+error (a failed invariant check, reported as ``shrinkca: internal
+error: ...``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .analysis import MAX_WINDOW_BITS, berlekamp_massey, verify_linearization
-from .automata import RuleVector, ca_char_poly, ca_run, state_from_bits, state_to_bits
+from .automata import RuleVector, _orbit, ca_char_poly, state_from_bits
 from .generators import Lfsr, ShrinkingGenerator, format_bits, parse_bits
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _text
 from .linearizer import linearize_shrinking_generator
 
 __all__ = ["main"]
@@ -129,9 +131,21 @@ def _cmd_ca_run(args) -> int:
     if len(cells) != len(rules):
         raise ValueError("state length must match the rule string")
     _check_size((args.steps + 1) * len(rules))
-    states = ca_run(rules, state_from_bits(cells), args.steps)
-    rows = [format_bits(state_to_bits(s, len(rules))) for s in states]
-    _emit(args, rows, {"states": rows})
+    orbit = _orbit(rules, state_from_bits(cells), args.steps)  # checks the steps
+    # Rows are written as they are stepped, so one block of rows is held at
+    # a time; the JSON is byte for byte what json.dumps({"states": rows})
+    # prints.
+    if args.format == "json":
+        head, sep, tail = '{"states": ["', '", "', '"]}\n'
+    else:
+        head, sep, tail = "", "\n", "\n"
+    rows = (_text(state, len(rules)) for state in orbit)
+    write = sys.stdout.write
+    write(head + next(rows))  # the start state
+    # An unbuffered stdout makes each write a system call: write in blocks.
+    while block := list(islice(rows, 4096)):
+        write(sep + sep.join(block))
+    write(tail)
     return 0
 
 
@@ -182,6 +196,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"shrinkca: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("shrinkca: error: out of memory", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"shrinkca: internal error: {exc}", file=sys.stderr)

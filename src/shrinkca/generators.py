@@ -24,7 +24,6 @@ __all__ = [
     "parse_bits",
     "format_bits",
     "sequence_period",
-    "decimate_by_stride",
 ]
 
 _LEAP_MAX = 4096  # largest block of bits one leap step generates
@@ -151,12 +150,3 @@ def sequence_period(seq: Sequence[int]) -> int:
             k += 1
         pi[i] = k
     return n - pi[-1]
-
-
-def decimate_by_stride(seq: Sequence[int], stride: int, offset: int = 0) -> list[int]:
-    """Subsequence seq[offset], seq[offset + stride], ..."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if not 0 <= offset < stride:
-        raise ValueError("offset must satisfy 0 <= offset < stride")
-    return list(seq[offset::stride])

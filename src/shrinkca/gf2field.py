@@ -1,5 +1,4 @@
-"""GF(2^r) on plain int residues: cosets, minimal polynomials of powers
-and explicit recurrence solutions.
+"""GF(2^r) on plain int residues: cosets and minimal polynomials of powers.
 
 A field element is a residue mask modulo an irreducible polynomial of
 degree r (bit i = coefficient of x^i, value below 2^r); alpha is the
@@ -11,12 +10,10 @@ linear dependency among the powers of that element.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .gf2poly import X, Gf2Poly, _divmod_bits, _mul_bits
 from .gf2poly import is_irreducible, is_primitive, poly_powmod
 
-__all__ = ["cyclotomic_coset", "minimal_polynomial_of_power", "evaluate_solution"]
+__all__ = ["cyclotomic_coset", "minimal_polynomial_of_power"]
 
 
 def _mulmod(a: int, b: int, m: int) -> int:
@@ -71,37 +68,3 @@ def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
     if result.degree != len(coset) or not is_irreducible(result):
         raise RuntimeError("first dependency is not a minimal polynomial")
     return result
-
-
-def evaluate_solution(
-    modulus: Gf2Poly, multiplicity: int, coeffs: Sequence[int], n: int
-) -> int:
-    """Bit n of the recurrence solution determined by the coefficients.
-
-    The solution family for a characteristic polynomial P^p (P = modulus,
-    irreducible of degree r) is indexed by p residues A_0..A_(p-1) below
-    2^r; term n is the trace of sum binom(n, m) A_m alpha^n over m, with
-    binomial parity by bit-mask containment, so the result is one bit.
-    """
-    if not is_irreducible(modulus):
-        raise ValueError(f"modulus {modulus} is reducible")
-    if multiplicity < 1:
-        raise ValueError("multiplicity must be >= 1")
-    if len(coeffs) != multiplicity:
-        raise ValueError(f"expected {multiplicity} coefficients, got {len(coeffs)}")
-    if n < 0:
-        raise ValueError("time index must be nonnegative")
-    acc = 0
-    for m, a in enumerate(coeffs):
-        if not isinstance(a, int) or not 0 <= a < 1 << modulus.degree:
-            raise ValueError(f"coefficient {a!r} is not a residue mod {modulus}")
-        if (n & m) == m:  # binom(n, m) odd
-            acc ^= a
-    cur = _mulmod(acc, poly_powmod(X, n, modulus).bits, modulus.bits)
-    trace = 0
-    for _ in range(modulus.degree):
-        trace ^= cur
-        cur = _mulmod(cur, cur, modulus.bits)
-    if trace not in (0, 1):
-        raise RuntimeError("trace left the base field")  # impossible
-    return trace

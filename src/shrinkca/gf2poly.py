@@ -99,6 +99,17 @@ def _mul_bits(a: int, b: int) -> int:
     return acc
 
 
+def _annihilates(op: int, window: int, n: int) -> bool:
+    """True iff op(E), E the shift, kills the n-bit window wherever op fits.
+
+    The window is a numeral (bit n-1-t = stream bit t), so bit n-1-t of
+    the carry-less window * op is (op(E) stream)(t).  The whole operator
+    fits for t < n - deg(op): the bits from deg(op) up to n - 1.
+    """
+    span = op.bit_length() - 1
+    return not (_mul_bits(window, op) >> span) & ((1 << (n - span)) - 1)
+
+
 def _divmod_bits(a: int, m: int) -> tuple[int, int]:
     if m == 0:
         raise ZeroDivisionError("division by the zero polynomial")

@@ -31,6 +31,11 @@ MAX_CELLS = 1 << 16
 """Most cells `linearize_shrinking_generator` builds an automaton of; the
 fit of one costs O(L^2) bit operations, about a second at this limit."""
 
+_MAX_SEARCH_DEGREE = 22
+"""Highest base degree `synthesize_ca_pair` searches: the search takes
+2^degree steps, about 4.7 times longer per two degrees (4.4 s at degree
+20), and the attack window already caps the data register at degree 21."""
+
 
 @dataclass(frozen=True, slots=True)
 class LinearizationResult:
@@ -72,14 +77,23 @@ def concat_double(rules: RuleVector) -> RuleVector:
     return RuleVector._from_mask(head | (_reversed_mask(head, L) << L), 2 * L)
 
 
+def _check_search_degree(degree: int) -> None:
+    if degree > _MAX_SEARCH_DEGREE:
+        raise ValueError(
+            f"degree {degree} is over {_MAX_SEARCH_DEGREE},"
+            " the most the automaton search takes"
+        )
+
+
 def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
     """All rule vectors of length degree(p) with characteristic polynomial p.
 
     p must be irreducible.  Exhaustive search over the 2^degree
-    candidates (fine up to degree ~20); normally two mutually reversed
-    vectors come back, in lexicographic order, collapsing to one for
-    degree 1.
+    candidates, so a degree over 22 is refused before the search; normally
+    two mutually reversed vectors come back, in lexicographic order,
+    collapsing to one for degree 1.
     """
+    _check_search_degree(p.degree)
     if not is_irreducible(p):
         raise ValueError(f"{p} is reducible; no irreducible-power automaton exists")
     r = p.degree
@@ -111,6 +125,10 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
     # 2^l1 is formed.
     if l1 > MAX_CELLS.bit_length():
         raise ValueError(f"control length {l1} gives over {MAX_CELLS} cells")
+    # For l1 <= 17 a primitive p2 of degree over 22 gives a base of its own
+    # degree, so the bound can refuse p2 before its primitivity test, which
+    # factors 2^degree - 1 by trial division.
+    _check_search_degree(p2.degree)
     n = (1 << l1) - 1
     base = minimal_polynomial_of_power(p2, n)  # tests p2 for primitivity
     length = base.degree << (l1 - 1)

@@ -6,7 +6,8 @@ polynomials of nested-list transition matrices, linear-system
 recurrence search, a bit-by-bit register and a literal
 generate-then-filter keystream, Berlekamp-Massey over a full-window
 history register, a bit-by-bit annihilation scan, minimal
-polynomials by exhaustive Horner evaluation, initial-state fits by
+polynomials by exhaustive Horner evaluation, the paper's explicit
+binomial-trace solutions of a recurrence, initial-state fits by
 Gaussian elimination over every cell's observation equations and by a
 sweep of whole-window columns across the cells, and doubling on per-cell
 tuples.  Tests compare the production code against these slower routes.
@@ -31,7 +32,9 @@ from shrinkca import (
     X,
     ca_run,
     cell_output,
+    is_irreducible,
     is_primitive,
+    poly_powmod,
 )
 
 # --- golden vectors (hand-checked reference data) -------------------------
@@ -338,6 +341,38 @@ def smallest_annihilator_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
         if not acc:
             return Gf2Poly(bits)
     raise AssertionError("every element has a minimal polynomial of degree <= r")
+
+
+def evaluate_solution(modulus: Gf2Poly, multiplicity: int, coeffs, n: int) -> int:
+    """Bit n of the recurrence solution determined by the coefficients.
+
+    The paper's explicit solutions: the family for a characteristic
+    polynomial P^p (P = modulus, irreducible of degree r) is indexed by
+    p residues A_0..A_(p-1) below 2^r; term n is the trace of
+    sum binom(n, m) A_m alpha^n over m, with binomial parity by bit-mask
+    containment, so the result is one bit.
+    """
+    if not is_irreducible(modulus):
+        raise ValueError(f"modulus {modulus} is reducible")
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be >= 1")
+    if len(coeffs) != multiplicity:
+        raise ValueError(f"expected {multiplicity} coefficients, got {len(coeffs)}")
+    if n < 0:
+        raise ValueError("time index must be nonnegative")
+    acc = 0
+    for m, a in enumerate(coeffs):
+        if not isinstance(a, int) or not 0 <= a < 1 << modulus.degree:
+            raise ValueError(f"coefficient {a!r} is not a residue mod {modulus}")
+        if (n & m) == m:  # binom(n, m) odd
+            acc ^= a
+    cur = (Gf2Poly(acc) * poly_powmod(X, n, modulus)) % modulus
+    trace = Gf2Poly(0)
+    for _ in range(modulus.degree):
+        trace += cur
+        cur = (cur * cur) % modulus
+    assert trace.bits in (0, 1), "the trace left the base field"
+    return trace.bits
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from shrinkca import (
     ShrinkingGenerator,
     ca_char_poly,
     ca_run,
-    ca_step,
     cell_output,
     check_annihilation,
     concat_double,
@@ -90,6 +89,10 @@ class TestStatePacking:
         for text in ("0", "1", "0001110110", "1111111111"):
             assert _unpack(_pack(text), len(text)) == text
 
+    def test_unpacks_to_bytes(self):
+        assert state_to_bits(0b0101, 5) == bytes([1, 0, 1, 0, 0])
+        assert state_to_bits(0, 0) == b""
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             state_to_bits(4, 2)
@@ -106,16 +109,16 @@ class TestStep:
     def test_golden_orbit_rows(self):
         rules = RuleVector.parse(cf.ORBIT_RULES)
         for before, after in zip(cf.ORBIT_ROWS, cf.ORBIT_ROWS[1:]):
-            assert ca_step(rules, _pack(before)) == _pack(after)
+            assert ca_run(rules, _pack(before), 1)[1] == _pack(after)
 
     def test_zero_state_fixed(self):
         rules = RuleVector.parse(cf.ORBIT_RULES)
-        assert ca_step(rules, 0) == 0
+        assert ca_run(rules, 0, 1) == [0, 0]
 
     def test_state_too_wide_rejected(self):
         rules = RuleVector.parse("010")
         with pytest.raises(ValueError, match="length 3"):
-            ca_step(rules, 0b1000)
+            ca_run(rules, 0b1000, 1)
 
     def test_linearity(self):
         rng = random.Random(5)
@@ -123,7 +126,8 @@ class TestStep:
         for _ in range(100):
             s1 = rng.randrange(1 << 17)
             s2 = rng.randrange(1 << 17)
-            assert ca_step(rules, s1 ^ s2) == ca_step(rules, s1) ^ ca_step(rules, s2)
+            step = [ca_run(rules, s, 1)[1] for s in (s1, s2, s1 ^ s2)]
+            assert step[2] == step[0] ^ step[1]
 
     def test_matches_matrix_product(self):
         rng = random.Random(6)
@@ -133,7 +137,7 @@ class TestStep:
             m = cf.transition_matrix(rules)
             state = rng.randrange(1 << length)
             expected = cf.mat_vec_mod2(m, state_to_bits(state, length))
-            assert state_to_bits(ca_step(rules, state), length) == expected
+            assert state_to_bits(ca_run(rules, state, 1)[1], length) == bytes(expected)
 
 
 class TestRun:

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,7 +25,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*argv, address_space=None):
+def run_child(*argv, address_space=None, timeout=120):
     """`python -m shrinkca ARGV` in a fresh interpreter.  With
     `address_space` (bytes), the child's RLIMIT_AS is capped, so a missing
     size check fails with MemoryError instead of exhausting the host."""
@@ -36,7 +38,7 @@ def run_child(*argv, address_space=None):
 
     return subprocess.run(
         [sys.executable, "-m", "shrinkca", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
         preexec_fn=cap if address_space else None,
     )
 
@@ -83,6 +85,34 @@ class TestCa:
         )
         assert code == 0
         assert out.splitlines() == cf.ORBIT_ROWS
+
+    def test_run_json_is_json_dumps_of_the_rows(self, capsys):
+        argv = ["ca", "run", "--rules", cf.ORBIT_RULES, "--state", cf.ORBIT_ROWS[0]]
+        for steps in range(len(cf.ORBIT_ROWS)):
+            rows = cf.ORBIT_ROWS[: steps + 1]
+            code, out, _ = run_cli(capsys, *argv, "--steps", str(steps), "--format", "json")
+            assert (code, out) == (0, json.dumps({"states": rows}, sort_keys=True) + "\n")
+            code, out, _ = run_cli(capsys, *argv, "--steps", str(steps))
+            assert (code, out) == (0, "".join(row + "\n" for row in rows))
+
+    @pytest.mark.parametrize(
+        "fmt,digest", [("text", "81a6992e656a4217"), ("json", "08affa029a90e114")]
+    )
+    def test_run_at_the_bound_streams_in_64_mib(self, fmt, digest):
+        # 2^21 rows of 2 cells: the whole orbit as a list would not fit.
+        proc = run_child(
+            "ca", "run", "--rules", "01", "--state", "10", "--steps", "2097151",
+            "--format", fmt, address_space=64 << 20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == digest
+
+    def test_run_negative_steps_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ca", "run", "--rules", "01", "--state", "10", "--steps", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "shrinkca: error: step count must be nonnegative\n"
 
     def test_run_state_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -311,6 +341,39 @@ class TestUsage:
         )
         assert (code, out) == (3, "")
         assert err == "shrinkca: internal error: first dependency is not a minimal polynomial\n"
+
+    def test_out_of_memory_exits_two_without_traceback(self, capsys, monkeypatch):
+        import shrinkca.cli
+
+        def exhausted(gen):
+            raise MemoryError
+
+        monkeypatch.setattr(shrinkca.cli, "verify_linearization", exhausted)
+        code, out, err = run_cli(
+            capsys,
+            "attack",
+            "--p1", cf.R1_POLY, "--s1", cf.R1_SEED,
+            "--p2", cf.R2A_POLY, "--s2", cf.R2A_SEED,
+        )
+        assert (code, out) == (2, "")
+        assert err == "shrinkca: error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "p2", ["1+x^3+x^31", "1+x+x^2+x^5+x^61"], ids=["degree-31", "degree-61"]
+    )
+    def test_linearize_over_the_search_degree_exits_two_at_once(self, p2):
+        # Searched, degree 31 would take hours, and the primitivity test of
+        # degree 61 would stall factoring 2^61 - 1: in a child, so that a
+        # missing bound times out instead of hanging the suite.
+        start = time.perf_counter()
+        proc = run_child("linearize", "--l1", "1", "--p2", p2, timeout=10)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        degree = Gf2Poly.parse(p2).degree
+        assert proc.stderr == (
+            f"shrinkca: error: degree {degree} is over 22,"
+            " the most the automaton search takes\n"
+        )
 
     def test_malformed_polynomial(self, capsys):
         code, _, err = run_cli(

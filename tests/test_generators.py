@@ -8,7 +8,6 @@ from shrinkca import (
     Gf2Poly,
     Lfsr,
     ShrinkingGenerator,
-    decimate_by_stride,
     format_bits,
     parse_bits,
     sequence_period,
@@ -176,25 +175,6 @@ class TestSequenceUtilities:
             n = rng.randrange(1, 40)
             seq = [rng.randrange(2) for _ in range(n)]
             assert sequence_period(seq) == cf.naive_period(seq)
-
-    def test_decimate_identity(self):
-        seq = parse_bits("1011001")
-        assert decimate_by_stride(seq, 1, 0) == list(seq)
-
-    def test_decimate_single_element(self):
-        seq = parse_bits("1011001")
-        assert decimate_by_stride(seq, len(seq), 3) == [seq[3]]
-
-    def test_decimate_offsets(self):
-        seq = list(range(10))
-        assert decimate_by_stride(seq, 3, 0) == [0, 3, 6, 9]
-        assert decimate_by_stride(seq, 3, 2) == [2, 5, 8]
-
-    def test_decimate_validation(self):
-        with pytest.raises(ValueError):
-            decimate_by_stride([1, 0], 0)
-        with pytest.raises(ValueError):
-            decimate_by_stride([1, 0], 2, 2)
 
 
 class TestLeapGeneratorEquivalence:

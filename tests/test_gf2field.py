@@ -10,8 +10,6 @@ from shrinkca import (
     berlekamp_massey,
     check_annihilation,
     cyclotomic_coset,
-    decimate_by_stride,
-    evaluate_solution,
     is_irreducible,
     is_primitive,
     minimal_polynomial_of_power,
@@ -53,7 +51,7 @@ class TestFieldElements:
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
-            evaluate_solution(Gf2Poly.parse("101"), 1, [1], 0)  # (1+x)^2
+            cf.evaluate_solution(Gf2Poly.parse("101"), 1, [1], 0)  # (1+x)^2
 
     def test_trace_is_binary_and_additive(self):
         modulus = Gf2Poly.parse("101001")
@@ -61,9 +59,9 @@ class TestFieldElements:
         for _ in range(50):
             u = rng.randrange(1 << modulus.degree)
             v = rng.randrange(1 << modulus.degree)
-            tu, tv = (evaluate_solution(modulus, 1, [a], 0) for a in (u, v))
+            tu, tv = (cf.evaluate_solution(modulus, 1, [a], 0) for a in (u, v))
             assert tu in (0, 1)
-            assert evaluate_solution(modulus, 1, [u ^ v], 0) == tu ^ tv
+            assert cf.evaluate_solution(modulus, 1, [u ^ v], 0) == tu ^ tv
 
 
 class TestMinimalPolynomial:
@@ -81,7 +79,7 @@ class TestMinimalPolynomial:
         # Cross-check: the stride-7 decimation of the degree-4 register
         # stream must be annihilated by exactly this polynomial.
         reg = Lfsr(Gf2Poly.parse(cf.R2A_POLY), [1, 0, 0, 0])
-        decimated = decimate_by_stride(reg.sequence(7 * 16), 7)
+        decimated = reg.sequence(7 * 16)[::7]
         assert berlekamp_massey(decimated).connection_poly == got
 
     def test_requires_primitive(self):
@@ -129,7 +127,7 @@ class TestMinimalPolynomial:
                 stride = (1 << l1) - 1
                 p2 = cf.first_primitive(l2)
                 reg = Lfsr(p2, [1] + [0] * (l2 - 1))
-                window = decimate_by_stride(reg.sequence(stride * 4 * l2), stride)
+                window = reg.sequence(stride * 4 * l2)[::stride]
                 got = berlekamp_massey(window)
                 assert got.connection_poly == minimal_polynomial_of_power(p2, stride)
                 assert got.linear_complexity == l2
@@ -138,18 +136,18 @@ class TestMinimalPolynomial:
 class TestRecurrenceSolutions:
     def test_trace_solution_annihilated(self):
         base = Gf2Poly.parse(cf.BASE5)
-        seq = [evaluate_solution(base, 1, [1], n) for n in range(80)]
+        seq = [cf.evaluate_solution(base, 1, [1], n) for n in range(80)]
         assert check_annihilation(base, 1, seq)
         assert any(seq)
 
     def test_zero_coefficients_zero_sequence(self):
         modulus = Gf2Poly.parse("11001")
-        assert [evaluate_solution(modulus, 3, [0] * 3, n) for n in range(30)] == [0] * 30
+        assert [cf.evaluate_solution(modulus, 3, [0] * 3, n) for n in range(30)] == [0] * 30
 
     def test_multiplicity_two_needs_squared_operator(self):
         base = Gf2Poly.parse("111")  # x^2 + x + 1
         coeffs = [0, X.bits]
-        seq = [evaluate_solution(base, 2, coeffs, n) for n in range(60)]
+        seq = [cf.evaluate_solution(base, 2, coeffs, n) for n in range(60)]
         assert check_annihilation(base, 2, seq)
         assert not check_annihilation(base, 1, seq)
 
@@ -162,9 +160,9 @@ class TestRecurrenceSolutions:
             b = [rng.randrange(1 << base.degree) for _ in range(p)]
             both = [x ^ y for x, y in zip(a, b)]
             for n in range(40):
-                assert evaluate_solution(base, p, both, n) == evaluate_solution(
+                assert cf.evaluate_solution(base, p, both, n) == cf.evaluate_solution(
                     base, p, a, n
-                ) ^ evaluate_solution(base, p, b, n)
+                ) ^ cf.evaluate_solution(base, p, b, n)
 
     def test_every_solution_annihilated_by_power(self):
         base = Gf2Poly.parse("1011")
@@ -172,7 +170,8 @@ class TestRecurrenceSolutions:
         for _ in range(15):
             p = rng.randrange(1, 4)
             a = [rng.randrange(1 << base.degree) for _ in range(p)]
-            seq = [evaluate_solution(base, p, a, n) for n in range(3 * base.degree * p + 10)]
+            span = 3 * base.degree * p + 10
+            seq = [cf.evaluate_solution(base, p, a, n) for n in range(span)]
             assert check_annihilation(base, p, seq)
 
     @pytest.mark.parametrize("base_text", ["111", "1011"])
@@ -188,7 +187,7 @@ class TestRecurrenceSolutions:
             return [(k >> (width * m)) & ((1 << width) - 1) for m in range(parts)]
 
         explicit = {
-            tuple(evaluate_solution(base, p, split(k, r, p), t) for t in range(n))
+            tuple(cf.evaluate_solution(base, p, split(k, r, p), t) for t in range(n))
             for k in range(1 << (r * p))
         }
         registers = {
@@ -200,10 +199,10 @@ class TestRecurrenceSolutions:
 
     def test_wrong_coefficient_count_raises(self):
         with pytest.raises(ValueError, match="coefficients"):
-            evaluate_solution(Gf2Poly.parse("111"), 2, [1], 0)
+            cf.evaluate_solution(Gf2Poly.parse("111"), 2, [1], 0)
 
     def test_foreign_coefficient_raises(self):
         # 0b100 is a residue mod a cubic, not mod the quadratic 1+x+x^2.
         for bad in (0b100, -1, Gf2Poly.parse("1"), 1.0):
             with pytest.raises(ValueError, match="not a residue"):
-                evaluate_solution(Gf2Poly.parse("111"), 1, [bad], 0)
+                cf.evaluate_solution(Gf2Poly.parse("111"), 1, [bad], 0)

@@ -12,7 +12,6 @@ from shrinkca import (
     berlekamp_massey,
     ca_char_poly,
     concat_double,
-    decimate_by_stride,
     is_irreducible,
     linearize_shrinking_generator,
     minimal_polynomial_of_power,
@@ -133,7 +132,7 @@ class TestLinearize:
         assert ca_char_poly(result.rules_a) == base * base
         # Cross-check the base against a stride-3 decimation measurement.
         reg = Lfsr(p2, [1, 0, 0, 0])
-        window = decimate_by_stride(reg.sequence(3 * 40), 3)
+        window = reg.sequence(3 * 40)[::3]
         assert berlekamp_massey(window).connection_poly == base
 
     def test_output_contract_sweep(self):
@@ -196,6 +195,20 @@ class TestLinearize:
         # l1 = 6 forms no power of two before the check: L >= 2^5 > 19.
         with pytest.raises(ValueError, match="control length 6 gives over 19 cells"):
             linearize_shrinking_generator(6, p2)
+
+    def test_search_degree_boundary(self, monkeypatch, primitivity_calls):
+        # Degree 5 is searched at a bound of 5; degree 6 is refused by the
+        # search, and as a data polynomial before its primitivity test.
+        monkeypatch.setattr(shrinkca.linearizer, "_MAX_SEARCH_DEGREE", 5)
+        assert len(synthesize_ca_pair(Gf2Poly.parse(cf.BASE5))) == 2
+        assert linearize_shrinking_generator(1, Gf2Poly.parse(cf.R2B_POLY)).length == 5
+        six = cf.first_primitive(6)
+        with pytest.raises(ValueError, match="degree 6 is over 5"):
+            synthesize_ca_pair(six)
+        calls = len(primitivity_calls)
+        with pytest.raises(ValueError, match="degree 6 is over 5"):
+            linearize_shrinking_generator(1, six)
+        assert len(primitivity_calls) == calls
 
     def test_result_has_slots(self):
         result = linearize_shrinking_generator(3, Gf2Poly.parse(cf.R2B_POLY))

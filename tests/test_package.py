@@ -6,11 +6,10 @@ from shrinkca import analysis, automata, generators, gf2field, gf2poly, lineariz
 PUBLIC = {
     "AttackReport", "BmResult", "Gf2Poly", "Lfsr", "LinearizationResult",
     "MAX_CELLS", "MAX_WINDOW_BITS", "ONE", "RuleVector", "ShrinkingGenerator",
-    "X", "ZERO", "berlekamp_massey", "ca_char_poly", "ca_run", "ca_step",
-    "cell_output", "check_annihilation", "concat_double", "cyclotomic_coset",
-    "decimate_by_stride", "evaluate_solution", "fit_initial_state",
-    "format_bits", "is_irreducible", "is_primitive", "lc_bounds",
-    "linearize_shrinking_generator", "minimal_polynomial_of_power",
+    "X", "ZERO", "berlekamp_massey", "ca_char_poly", "ca_run", "cell_output",
+    "check_annihilation", "concat_double", "cyclotomic_coset",
+    "fit_initial_state", "format_bits", "is_irreducible", "is_primitive",
+    "lc_bounds", "linearize_shrinking_generator", "minimal_polynomial_of_power",
     "parse_bits", "poly_gcd", "poly_powmod", "sequence_period",
     "state_from_bits", "state_to_bits", "synthesize_ca_pair",
     "verify_linearization",
