@@ -13,9 +13,8 @@ keystream is generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
@@ -33,8 +32,7 @@ __all__ = [
     "verify_linearization",
 ]
 
-@dataclass(frozen=True, slots=True)
-class BmResult:
+class BmResult(NamedTuple):
     """Minimal annihilating polynomial of a window and its degree."""
 
     connection_poly: Gf2Poly
@@ -74,13 +72,12 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
     one carry-less product of the packed window and the operator."""
     if multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    mask_poly = q**multiplicity
-    span = mask_poly.degree
+    span = q.degree * multiplicity  # checked before the power is formed
     if span < 0:
         raise ValueError("the zero operator annihilates nothing meaningfully")
     if len(seq) < span + 1:
         raise ValueError(f"window shorter than the operator span {span + 1}")
-    return _annihilates(mask_poly.bits, _numeral(seq), len(seq))
+    return _annihilates((q**multiplicity).bits, _numeral(seq), len(seq))
 
 
 @lru_cache(maxsize=64)
@@ -97,8 +94,7 @@ def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     return l2 << (l1 - 2), l2 << (l1 - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     """Everything measured while linearizing one shrinking generator."""
 
     generator: ShrinkingGenerator

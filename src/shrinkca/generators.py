@@ -44,8 +44,8 @@ def format_bits(bits: Sequence[int]) -> str:
 class Lfsr:
     """Linear feedback shift register in Fibonacci form.
 
-    `state` holds the first `degree` output bits; generation is pure and
-    never mutates the register.
+    `state` holds the first `degree` output bits; the register is
+    immutable, and generation is pure.
     """
 
     __slots__ = ("charpoly", "state", "_lags")
@@ -54,11 +54,16 @@ class Lfsr:
         r = charpoly.degree
         if r < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
-        self.state = tuple(_bit_bytes(state))
-        if len(self.state) != r:
+        state = tuple(_bit_bytes(state))
+        if len(state) != r:
             raise ValueError(f"seed must supply exactly {r} bits")
-        self.charpoly = charpoly
-        self._lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
+        object.__setattr__(self, "charpoly", charpoly)
+        object.__setattr__(self, "state", state)
+        lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
+        object.__setattr__(self, "_lags", lags)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Lfsr is immutable")
 
     @property
     def length(self) -> int:
@@ -92,7 +97,7 @@ class Lfsr:
 class ShrinkingGenerator:
     """Control register r1 gates data register r2: output bits of r2 where
     the simultaneous r1 bit is 1, discard the rest.  Register lengths must
-    be coprime."""
+    be coprime.  Immutable, like its registers."""
 
     __slots__ = ("r1", "r2")
 
@@ -101,8 +106,11 @@ class ShrinkingGenerator:
             raise ValueError(
                 f"register lengths {r1.length} and {r2.length} must be coprime"
             )
-        self.r1 = r1
-        self.r2 = r2
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShrinkingGenerator is immutable")
 
     def shrunken_sequence(self, n: int) -> bytes:
         """First n kept bits of the data stream as 0/1 bytes.  Each pair of

@@ -13,7 +13,7 @@ doubling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import RuleVector, _char_poly_bits
 from .gf2field import minimal_polynomial_of_power
@@ -37,8 +37,7 @@ _MAX_SEARCH_DEGREE = 22
 20), and the attack window already caps the data register at degree 21."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinearizationResult:
+class LinearizationResult(NamedTuple):
     """Pair of rule vectors plus the parameters that produced them.
 
     Both vectors have characteristic polynomial base_poly**multiplicity

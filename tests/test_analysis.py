@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -156,6 +155,19 @@ class TestCheckAnnihilation:
         with pytest.raises(ValueError):
             check_annihilation(Gf2Poly.parse("11001"), 0, [0] * 8)
 
+    def test_operator_span_checked_before_the_power(self, monkeypatch):
+        def no_power(self, k):
+            raise AssertionError("the operator power was formed")
+
+        monkeypatch.setattr(Gf2Poly, "__pow__", no_power)
+        q = Gf2Poly(0b1011011)
+        with pytest.raises(ValueError, match="operator span 6000000000001$"):
+            check_annihilation(q, 10**12, b"\0" * 10)
+        with pytest.raises(ValueError, match="zero operator"):
+            check_annihilation(Gf2Poly(0), 10**12, b"\0" * 10)
+        with pytest.raises(ValueError, match="multiplicity"):
+            check_annihilation(q, 0, b"\0" * 10)
+
     def test_packed_matches_loop(self):
         rng = random.Random(0xA7)
         for _ in range(300):
@@ -260,10 +272,27 @@ class TestVerifyLinearization:
         report = verify_linearization(cf.gen_a())
         bm = berlekamp_massey(cf.gen_a().shrunken_sequence(32))
         assert not hasattr(report, "__dict__") and not hasattr(bm, "__dict__")
-        assert dataclasses.replace(bm, linear_complexity=0).linear_complexity == 0
-        moved = dataclasses.replace(report, verified_period=7)
+        assert bm._replace(linear_complexity=0).linear_complexity == 0
+        moved = report._replace(verified_period=7)
         assert moved.to_dict() == {**report.to_dict(), "verified_period": 7}
         assert moved.to_text() == report.to_text().replace("period 60", "period 7")
+        with pytest.raises(AttributeError):
+            report.verdict = False
+        with pytest.raises(AttributeError):
+            bm.linear_complexity = 0
+        assert repr(bm).startswith("BmResult(connection_poly=Gf2Poly(")
+        assert repr(report).startswith("AttackReport(generator=ShrinkingGenerator(")
+        assert repr(report).endswith(", verified_period=60, verdict=True)")
+
+    def test_report_generator_cannot_change_after_the_verdict(self):
+        report = verify_linearization(cf.gen_a())
+        shown = report.to_dict()
+        for name in ("r1", "r2", "other"):
+            with pytest.raises(AttributeError):
+                setattr(report.generator, name, cf.make_lfsr(cf.R2B_POLY, cf.R2B_SEED))
+        with pytest.raises(AttributeError):
+            report.generator.r2.charpoly = Gf2Poly.parse(cf.R2B_POLY)
+        assert report.to_dict() == shown
 
     def test_replay_is_bit_exact(self):
         from shrinkca import ca_run, cell_output

@@ -56,6 +56,21 @@ class TestLfsr:
         assert reg.sequence(50) == first
         assert reg.state == (1, 0, 0)
 
+    def test_register_is_immutable(self):
+        # A new polynomial on an old register would keep the old lags:
+        # length and sequence would describe two different registers.
+        reg = cf.make_lfsr(cf.R1_POLY, cf.R1_SEED)
+        for name, value in [
+            ("charpoly", Gf2Poly.parse(cf.R2A_POLY)),
+            ("state", (0, 0, 1)),
+            ("_lags", (1,)),
+            ("other", 0),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(reg, name, value)
+        assert reg.length == 3 and reg.state == (1, 0, 0)
+        assert format_bits(reg.sequence(7)) == cf.R1_STREAM
+
     def test_short_counts(self):
         reg = cf.make_lfsr(cf.R1_POLY, cf.R1_SEED)
         assert reg.sequence(0) == b""

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -213,8 +212,12 @@ class TestLinearize:
     def test_result_has_slots(self):
         result = linearize_shrinking_generator(3, Gf2Poly.parse(cf.R2B_POLY))
         assert not hasattr(result, "__dict__")
-        moved = dataclasses.replace(result, coset_n=9)
+        moved = result._replace(coset_n=9)
         assert moved.to_dict() == {**result.to_dict(), "N": 9}
+        with pytest.raises(AttributeError):
+            result.coset_n = 9
+        assert repr(result).startswith("LinearizationResult(rules_a=RuleVector.parse(")
+        assert repr(result).endswith(", length=20, coset_n=7, degenerate=False)")
 
     def test_degenerate_data_length_one(self):
         result = linearize_shrinking_generator(2, Gf2Poly.parse("11"))

@@ -1,4 +1,9 @@
-"""The package's public surface: the union of its layers' ``__all__``."""
+"""The package's public surface: the union of its layers' ``__all__``,
+and the standard-library modules importing it pulls in."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import shrinkca
 from shrinkca import analysis, automata, generators, gf2field, gf2poly, linearizer
@@ -26,3 +31,21 @@ def test_each_name_is_its_defining_layers_object():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(shrinkca, name) is getattr(layer, name), name
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # A bare interpreter (no site, warnings as errors) with this checkout's
+    # src first on sys.path: importing the CLI must not load `dataclasses`,
+    # whose `inspect` import costs more than the whole package.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import shrinkca.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr, child.stdout) == (0, "", "[]\n")
