@@ -8,18 +8,18 @@ together: synthesize the automaton pair from (L1, P2), exhibit a cell
 plus initial state that replays the keystream bit for bit, measure the
 keystream, and confirm the measured polynomial is a bounded power of
 the predicted base.  A window over MAX_WINDOW_BITS is refused before any
-keystream is generated.
+keystream is generated, and a zero seed before any automaton is
+synthesized.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .automata import RuleVector, fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
-from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _annihilates, _bit_bytes, _numeral
-from .gf2poly import _reversed_mask, _text, is_primitive
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _annihilates, _bit_bytes, _mask
+from .gf2poly import _shortest_recurrence, _text, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
@@ -40,31 +40,10 @@ class BmResult(NamedTuple):
 
 
 def berlekamp_massey(seq: Sequence[int]) -> BmResult:
-    """Shortest recurrence generating the window.
-
-    Returns LC = 0 with polynomial 1 for the all-zero window.  The
-    recurrence is an int mask (bit i = tap at lag i) against a history
-    register (bit i = seq[n - i]) cut to `width` bits; when the mask
-    outgrows width/2, the history is rebuilt from the input 4x as wide
-    as the mask, so a step costs O(LC) bit operations, not O(n).
-    """
-    c, b = 1, 1  # current and previous feedback masks, bit 0 always set
-    lc, m = 0, -1
-    width, keep, rev = 64, (1 << 64) - 1, 0
-    seq = _bit_bytes(seq)
-    for n, s in enumerate(seq):
-        rev = ((rev << 1) | s) & keep
-        if (c & rev).bit_count() & 1:
-            t = c
-            c ^= b << (n - m)
-            if 2 * lc <= n:
-                lc, b, m = n + 1 - lc, t, n
-            if c.bit_length() > width // 2:
-                width = 4 * c.bit_length()
-                keep = (1 << width) - 1
-                rev = _numeral(seq[max(0, n + 1 - width) : n + 1])
-    # Characteristic-polynomial convention: reverse over degree lc.
-    return BmResult(Gf2Poly(_reversed_mask(c, lc + 1)), lc)
+    """Shortest recurrence generating the window, by the package's one
+    Berlekamp-Massey loop; LC = 0 with polynomial 1 for the all-zero window."""
+    charpoly, lc = _shortest_recurrence(_bit_bytes(seq))
+    return BmResult(Gf2Poly(charpoly), lc)
 
 
 def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> bool:
@@ -77,16 +56,14 @@ def check_annihilation(q: Gf2Poly, multiplicity: int, seq: Sequence[int]) -> boo
         raise ValueError("the zero operator annihilates nothing meaningfully")
     if len(seq) < span + 1:
         raise ValueError(f"window shorter than the operator span {span + 1}")
-    return _annihilates((q**multiplicity).bits, _numeral(seq), len(seq))
+    return _annihilates((q**multiplicity).bits, _mask(seq), len(seq))
 
 
-@lru_cache(maxsize=64)
 def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     """Linear-complexity bracket (exclusive lower, inclusive upper) for a
     shrinking generator with register lengths l1, l2.  It needs l2 >= 2:
     a primitive data register of length 1 emits only ones, so its
-    keystream is constant and has LC 1 at every l1.  Every report of one
-    (l1, l2) holds the same bracket tuple."""
+    keystream is constant and has LC 1 at every l1."""
     if l1 < 2:
         raise ValueError("lower bound undefined for control length < 2")
     if l2 < 2:
@@ -191,9 +168,9 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
         )
     if not is_primitive(r1.charpoly):
         raise ValueError(f"control polynomial {r1.charpoly} must be primitive")
-    lin = linearize_shrinking_generator(l1, r2.charpoly)  # tests r2 for primitivity
     if not any(r1.state) or not any(r2.state):
         raise ValueError("register seeds must be nonzero")
+    lin = linearize_shrinking_generator(l1, r2.charpoly)  # tests r2 for primitivity
     window = gen.shrunken_sequence(2 * period)
 
     # rules_b shares the characteristic polynomial of rules_a, so its

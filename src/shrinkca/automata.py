@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask, _numeral
+from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask
 from .gf2poly import _read_bits, _reversed_mask, _text
 
 __all__ = [
@@ -178,8 +178,8 @@ def fit_initial_state(
     L, n = len(rules), len(target)
     if n < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
-    window = _numeral(target)  # bit n-1-t = target[t]; checks the bits
-    head = _reversed_mask(window >> (n - L), L)  # bit t = target[t], t < L
+    window = _mask(target)  # bit t = target[t]; checks the bits
+    head = window & ((1 << L) - 1)
     mask150 = rules.mask150
     prev, cur, state = 0, 1, 0
     for k in range(L):

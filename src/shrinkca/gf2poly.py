@@ -10,7 +10,8 @@ canonical output form is the ascending bit string.
 It also holds the package's bit codec: a bit sequence is any sequence
 of the ints 0 and 1 (bools pass, ``1.0`` does not), held as 0/1 bytes,
 index 0 first; its text is ``[01]+``, index 0 leftmost; a mask packs it
-least significant first, as polynomials, rules and states are.
+least significant first, as polynomials, rules, states and windows are.
+Its Berlekamp-Massey loop is the package's one dependency finder.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def _read_bits(text: str, what: str = "bit string") -> bytes:
     return _from_digits(s)
 
 
-def _numeral(seq) -> int:
-    """A 0/1 sequence read as a binary numeral, seq[0] most significant."""
-    return int(_bit_digits(seq) or b"0", 2)
-
-
 def _mask(seq) -> int:
     """A 0/1 sequence packed least significant first: bit i = seq[i]."""
     return int(_bit_digits(seq)[::-1] or b"0", 2)
@@ -102,12 +98,13 @@ def _mul_bits(a: int, b: int) -> int:
 def _annihilates(op: int, window: int, n: int) -> bool:
     """True iff op(E), E the shift, kills the n-bit window wherever op fits.
 
-    The window is a numeral (bit n-1-t = stream bit t), so bit n-1-t of
-    the carry-less window * op is (op(E) stream)(t).  The whole operator
-    fits for t < n - deg(op): the bits from deg(op) up to n - 1.
+    The window is a mask (bit t = stream bit t), so bit t + deg(op) of
+    the carry-less window * reversed op is (op(E) stream)(t).  The whole
+    operator fits for t < n - deg(op): the bits from deg(op) up to n - 1.
     """
     span = op.bit_length() - 1
-    return not (_mul_bits(window, op) >> span) & ((1 << (n - span)) - 1)
+    product = _mul_bits(window, _reversed_mask(op, span + 1))
+    return not (product >> span) & ((1 << (n - span)) - 1)
 
 
 def _divmod_bits(a: int, m: int) -> tuple[int, int]:
@@ -120,6 +117,33 @@ def _divmod_bits(a: int, m: int) -> tuple[int, int]:
         q |= 1 << shift
         a ^= m << shift
     return q, a
+
+
+def _mulmod(a: int, b: int, m: int) -> int:
+    return _divmod_bits(_mul_bits(a, b), m)[1]
+
+
+def _shortest_recurrence(bits: bytes) -> tuple[int, int]:
+    """Berlekamp-Massey on 0/1 bytes: (characteristic mask, LC) of the
+    shortest recurrence generating them, (1, 0) if all are zero.  The
+    feedback mask (bit i = tap at lag i) runs against a history (bit i =
+    bits[n - i]) cut to `width` bits, rebuilt 4x as wide as the mask when
+    the mask outgrows width/2, so a step costs O(LC) bit operations."""
+    c, b = 1, 1  # current and previous feedback masks, bit 0 always set
+    lc, m = 0, -1
+    width, keep, rev = 64, (1 << 64) - 1, 0
+    for n, s in enumerate(bits):
+        rev = ((rev << 1) | s) & keep
+        if (c & rev).bit_count() & 1:
+            t = c
+            c ^= b << (n - m)
+            if 2 * lc <= n:
+                lc, b, m = n + 1 - lc, t, n
+            if c.bit_length() > width // 2:
+                width = 4 * c.bit_length()
+                keep = (1 << width) - 1
+                rev = _mask(bits[max(0, n + 1 - width) : n + 1][::-1])
+    return _reversed_mask(c, lc + 1), lc  # reversed over degree LC
 
 
 class Gf2Poly:
@@ -267,8 +291,8 @@ def poly_powmod(base: Gf2Poly, k: int, m: Gf2Poly) -> Gf2Poly:
     b = _divmod_bits(base.bits, m.bits)[1]
     while k:
         if k & 1:
-            acc = _divmod_bits(_mul_bits(acc, b), m.bits)[1]
-        b = _divmod_bits(_mul_bits(b, b), m.bits)[1]
+            acc = _mulmod(acc, b, m.bits)
+        b = _mulmod(b, b, m.bits)
         k >>= 1
     return Gf2Poly(acc)
 
@@ -285,7 +309,7 @@ def is_irreducible(p: Gf2Poly) -> bool:
         raise ValueError("irreducibility is undefined for constant polynomials")
     b = 2  # x
     for _ in range(r // 2):
-        b = _divmod_bits(_mul_bits(b, b), p.bits)[1]
+        b = _mulmod(b, b, p.bits)
         g = poly_gcd(Gf2Poly(b ^ 2), p)
         if g.degree != 0:
             return False

@@ -339,13 +339,32 @@ class TestVerifyLinearization:
             verify_linearization(zeroseed)
 
     def test_check_order(self):
-        # Data polynomial before seeds, control polynomial before both.
+        # Control polynomial first, then the seeds, then the data polynomial.
         gen = ShrinkingGenerator(cf.make_lfsr("1011", "000"), cf.make_lfsr("11111", "0000"))
+        with pytest.raises(ValueError, match="register seeds must be nonzero"):
+            verify_linearization(gen)
+        gen = ShrinkingGenerator(cf.make_lfsr("1011", "100"), cf.make_lfsr("11111", "1000"))
         with pytest.raises(ValueError, match="data polynomial 11111 must be primitive"):
             verify_linearization(gen)
         gen = ShrinkingGenerator(cf.make_lfsr("1111", "000"), cf.make_lfsr("11111", "0000"))
         with pytest.raises(ValueError, match="control polynomial 1111 must be primitive"):
             verify_linearization(gen)
+
+    def test_zero_seed_is_refused_before_synthesis(self, monkeypatch, capsys):
+        import shrinkca.linearizer
+        from shrinkca.cli import main
+
+        def unreachable(p):
+            raise AssertionError("synthesis ran before the seed check")
+
+        monkeypatch.setattr(shrinkca.linearizer, "synthesize_ca_pair", unreachable)
+        for s1, s2 in (("000", "1000"), ("100", "0000")):
+            gen = ShrinkingGenerator(cf.make_lfsr("1011", s1), cf.make_lfsr("11001", s2))
+            with pytest.raises(ValueError, match="register seeds must be nonzero"):
+                verify_linearization(gen)
+        argv = ["attack", "--p1", "1011", "--s1", "100", "--p2", "11001", "--s2", "0000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "shrinkca: error: register seeds must be nonzero\n")
 
     def test_each_polynomial_tested_for_primitivity_once(self, primitivity_calls):
         gen = cf.gen_b()

@@ -116,6 +116,32 @@ class TestMinimalPolynomial:
                     cases += 1
         assert cases == 648
 
+    def test_large_degrees_annihilate_the_power(self):
+        # Random primitive P2 of degrees 7-22 and exponents at the edges of
+        # the group, in its subfields and up to 2^40: the result is an
+        # irreducible annihilator of x^n of coset degree, by one Horner
+        # evaluation, and the smallest annihilator up to degree 10.
+        rng = random.Random(13)
+        for r in range(7, 23):
+            while not is_primitive(p2 := Gf2Poly((1 << r) | rng.randrange(1 << r) | 1)):
+                pass
+            order = (1 << r) - 1
+            exponents = [0, 1, order, order + 1]
+            for d in (d for d in range(1, r + 1) if r % d == 0):
+                step = order // ((1 << d) - 1)
+                exponents += [step, step * rng.randrange(1, 1 << d)]
+            exponents += [rng.randrange(1 << 40) for _ in range(4)]
+            for n in exponents:
+                q = minimal_polynomial_of_power(p2, n)
+                beta, acc = poly_powmod(X, n, p2), Gf2Poly(0)
+                for i in range(q.degree, -1, -1):
+                    acc = (acc * beta + Gf2Poly(q.coeff(i))) % p2
+                assert not acc, (p2, n)
+                assert is_irreducible(q)
+                assert q.degree == len(cyclotomic_coset(n % order, order))
+                if r <= 10:  # the oracle forms x^n whole: reduce n first
+                    assert q == cf.smallest_annihilator_of_power(p2, n % order)
+
     def test_matches_stride_decimation_sweep(self):
         # For coprime register lengths, the data stream decimated at the
         # control period is a register stream whose polynomial is the
