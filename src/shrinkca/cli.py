@@ -17,7 +17,6 @@ error: ...``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 from typing import Optional, Sequence
@@ -91,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text_lines, payload) -> None:
     if args.format == "json":
+        import json  # here, so that text output never loads it
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:

@@ -16,8 +16,6 @@ Its Berlekamp-Massey loop is the package's one dependency finder.
 
 from __future__ import annotations
 
-import re
-
 __all__ = [
     "Gf2Poly",
     "ZERO",
@@ -35,8 +33,6 @@ MAX_WINDOW_BITS = 1 << 22
 larger degree fits any of them.  The window is 2^(L1+L2) - 2^L1 bits,
 so every L1 + L2 <= 22 fits; it takes about 60 MB at the bound."""
 
-_BITSTRING = re.compile(r"[01]+")
-_TERM = re.compile(r"1|x(\^[0-9]+)?")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -66,7 +62,7 @@ def _read_bits(text: str, what: str = "bit string") -> bytes:
     """The 0/1 bytes of a ``[01]+`` text, index 0 leftmost and surrounding
     whitespace ignored; any other text is not a `what`."""
     s = text.strip()
-    if not _BITSTRING.fullmatch(s):
+    if not s or s.strip("01"):
         raise ValueError(f"not a {what}: {text!r}")
     return _from_digits(s)
 
@@ -169,24 +165,25 @@ class Gf2Poly:
         """Parse an ascending bit string or a ``1+x^2+x^5`` term sum; a term
         exponent over MAX_WINDOW_BITS is refused before it is expanded."""
         s = text.strip()
-        if _BITSTRING.fullmatch(s):
+        if s and not s.strip("01"):
             return cls(int(s[::-1], 2))
         s = "".join(s.split())
         if not s:
             raise ValueError("empty polynomial text")
         bits = 0
         for term in s.split("+"):
-            if not _TERM.fullmatch(term):
-                raise ValueError(f"bad polynomial term {term!r}")
+            e = term[2:]  # the exponent of an x^k term: ASCII digits only
             if term == "1":
                 bits ^= 1
             elif term == "x":
                 bits ^= 2
-            else:
-                k = int(term[2:])
+            elif term[:2] == "x^" and e.isascii() and e.isdigit():
+                k = int(e)
                 if k > MAX_WINDOW_BITS:
                     raise ValueError(f"term exponent {k} is over {MAX_WINDOW_BITS}")
                 bits ^= 1 << k
+            else:
+                raise ValueError(f"bad polynomial term {term!r}")
         return cls(bits)
 
     @property
@@ -226,6 +223,8 @@ class Gf2Poly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
+        if (d := self.degree * k) > MAX_WINDOW_BITS:  # refused before any product
+            raise ValueError(f"the power would have degree {d}, over {MAX_WINDOW_BITS}")
         acc, base = 1, self.bits
         while k:
             if k & 1:

@@ -6,7 +6,8 @@ polynomials of nested-list transition matrices, linear-system
 recurrence search, a bit-by-bit register and a literal
 generate-then-filter keystream, Berlekamp-Massey over a full-window
 history register, a bit-by-bit annihilation scan, minimal
-polynomials by exhaustive Horner evaluation, the paper's explicit
+polynomials by exhaustive Horner evaluation, the text formats by the
+regular expressions that defined them, the paper's explicit
 binomial-trace solutions of a recurrence, initial-state fits by
 Gaussian elimination over every cell's observation equations and by a
 sweep of whole-window columns across the cells, and doubling on per-cell
@@ -16,6 +17,7 @@ tuples.  Tests compare the production code against these slower routes.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 import sympy
@@ -25,6 +27,7 @@ import shrinkca.gf2field
 import shrinkca.linearizer
 
 from shrinkca import (
+    MAX_WINDOW_BITS,
     Gf2Poly,
     Lfsr,
     RuleVector,
@@ -326,14 +329,47 @@ def loop_annihilation(q: Gf2Poly, multiplicity: int, seq) -> bool:
     return True
 
 
+BITSTRING = re.compile(r"[01]+")
+TERM = re.compile(r"1|x(\^[0-9]+)?")
+
+
+def regex_read_bits(text: str, what: str = "bit string") -> bytes:
+    """The 0/1 bytes of a bit text, checked by BITSTRING."""
+    s = text.strip()
+    if not BITSTRING.fullmatch(s):
+        raise ValueError(f"not a {what}: {text!r}")
+    return bytes(int(c) for c in s)
+
+
+def regex_parse(text: str) -> Gf2Poly:
+    """`Gf2Poly.parse`, with each text form checked by its regular expression."""
+    s = text.strip()
+    if BITSTRING.fullmatch(s):
+        return Gf2Poly(sum(1 << i for i, c in enumerate(s) if c == "1"))
+    s = "".join(s.split())
+    if not s:
+        raise ValueError("empty polynomial text")
+    bits = 0
+    for term in s.split("+"):
+        if not TERM.fullmatch(term):
+            raise ValueError(f"bad polynomial term {term!r}")
+        k = 0 if term == "1" else 1 if term == "x" else int(term[2:])
+        if k > MAX_WINDOW_BITS:
+            raise ValueError(f"term exponent {k} is over {MAX_WINDOW_BITS}")
+        bits ^= 1 << k
+    return Gf2Poly(bits)
+
+
 def smallest_annihilator_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
     """Smallest nonzero mask q with q(beta) = 0 mod p2, beta = x^n, by Horner.
 
     The minimal polynomial has the least degree of any annihilator and
     is the only one of that degree, so it is also the smallest mask.  It
     has constant term 1 (beta is nonzero), so only odd masks are tried.
+    x has order 2^r - 1 modulo a primitive p2 of degree r, so n is
+    reduced by that order before the power is formed.
     """
-    beta = (X**n) % p2
+    beta = (X ** (n % ((1 << p2.degree) - 1))) % p2
     for bits in range(1, 1 << (p2.degree + 1), 2):
         acc = Gf2Poly(0)
         for i in range(bits.bit_length() - 1, -1, -1):

@@ -168,6 +168,12 @@ class TestCheckAnnihilation:
         with pytest.raises(ValueError, match="multiplicity"):
             check_annihilation(q, 0, b"\0" * 10)
 
+    def test_operator_over_the_window_bound_is_refused(self):
+        # A window long enough for the span still meets the power's bound.
+        q, mult = Gf2Poly(2), shrinkca.analysis.MAX_WINDOW_BITS + 1
+        with pytest.raises(ValueError, match=f"degree {mult}, over"):
+            check_annihilation(q, mult, bytes(mult + 1))
+
     def test_packed_matches_loop(self):
         rng = random.Random(0xA7)
         for _ in range(300):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import first_primitive, long_division_lists, trial_division_irreducible
+from conftest import first_primitive, long_division_lists, regex_parse, regex_read_bits
+from conftest import trial_division_irreducible
 from shrinkca import ONE, X, ZERO, Gf2Poly, is_irreducible, is_primitive, poly_gcd, poly_powmod
-from shrinkca.gf2poly import MAX_WINDOW_BITS
+from shrinkca.gf2poly import MAX_WINDOW_BITS, _read_bits
 
 
 def P(text):
@@ -58,6 +61,23 @@ class TestParseFormat:
         assert P(f"1+x^{MAX_WINDOW_BITS}").degree == MAX_WINDOW_BITS
         with pytest.raises(ValueError, match=f"term exponent {MAX_WINDOW_BITS + 1} is over"):
             P(f"1+x^{MAX_WINDOW_BITS + 1}")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="01x^+ \t\n23456789\u00b2\u0663\uff11", max_size=12))
+    def test_text_checks_match_the_regular_expressions(self, text):
+        # The bit and term checks are string tests; the regular expressions
+        # [01]+ and 1|x(\^[0-9]+)? in conftest are the oracle.  Non-ASCII
+        # digits (superscript two, Arabic-Indic three, fullwidth one) are
+        # refused, as [0-9] refuses them.
+        for fast, oracle in ((_read_bits, regex_read_bits), (P, regex_parse)):
+            try:
+                want = oracle(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    fast(text)
+                assert str(got.value) == str(exc)
+            else:
+                assert fast(text) == want
 
     @pytest.mark.parametrize("bad", [[0, -1], [0, 256], [1.5, 0], [0, 2]])
     def test_from_coeffs_names_every_non_bit(self, bad):
@@ -144,6 +164,16 @@ class TestArithmetic:
         assert P("11") ** 0 == ONE
         assert P("11") ** 2 == P("101")
         assert P("101001") ** 4 == P("101001") * P("101001") * P("101001") * P("101001")
+
+    def test_pow_degree_bound_is_exact(self):
+        # Refused before the first product: X**(2**40) alone would take 128 GB.
+        assert (X**MAX_WINDOW_BITS).degree == MAX_WINDOW_BITS
+        assert (P("111") ** (MAX_WINDOW_BITS // 2)).degree == MAX_WINDOW_BITS
+        for base, k in ((X, MAX_WINDOW_BITS + 1), (X, 1 << 40), (P("111"), 1 << 21 | 1)):
+            with pytest.raises(ValueError, match=f"degree {base.degree * k}, over"):
+                base**k
+        assert ZERO ** (1 << 40) == ZERO
+        assert ONE ** (1 << 40) == ONE
 
 
 class TestPowmod:

@@ -33,19 +33,34 @@ def test_each_name_is_its_defining_layers_object():
             assert getattr(shrinkca, name) is getattr(layer, name), name
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
+def _bare_import(code):
     # A bare interpreter (no site, warnings as errors) with this checkout's
-    # src first on sys.path: importing the CLI must not load `dataclasses`,
-    # whose `inspect` import costs more than the whole package.
+    # src first on sys.path runs `code`; its stdout is returned.
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "import shrinkca.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}"
     child = subprocess.run(
         [sys.executable, "-S", "-W", "error", "-c", code],
         capture_output=True, text=True, timeout=60,
     )
-    assert (child.returncode, child.stderr, child.stdout) == (0, "", "[]\n")
+    assert (child.returncode, child.stderr) == (0, "")
+    return child.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # `dataclasses` imports `inspect`, which costs more than the whole package.
+    code = "import shrinkca.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    assert _bare_import(code) == "[]\n"
+
+
+def test_cli_import_leaves_out_json_and_the_package_leaves_out_re():
+    # Only `--format json` output loads `json`.  No module of the package
+    # imports `re`; `typing`, which the records' NamedTuple needs, imports
+    # it on its own, so it is dropped again after `typing` has loaded.
+    assert _bare_import("import shrinkca.cli\nprint('json' in sys.modules)\n") == "False\n"
+    code = (
+        "import typing\n"
+        "sys.modules.pop('re', None)\n"
+        "import shrinkca\n"
+        "print('re' in sys.modules)\n"
+    )
+    assert _bare_import(code) == "False\n"
