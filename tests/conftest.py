@@ -10,12 +10,15 @@ polynomials by exhaustive Horner evaluation, the text formats by the
 regular expressions that defined them, the paper's explicit
 binomial-trace solutions of a recurrence, initial-state fits by
 Gaussian elimination over every cell's observation equations and by a
-sweep of whole-window columns across the cells, and doubling on per-cell
-tuples.  Tests compare the production code against these slower routes.
+sweep of whole-window columns across the cells, doubling on per-cell
+tuples, and automaton synthesis by stepping the continuant recurrence
+afresh for every rule vector.  Tests compare the production code
+against these slower routes.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -39,6 +42,7 @@ from shrinkca import (
     is_primitive,
     poly_powmod,
 )
+from shrinkca.automata import _char_poly_bits
 
 # --- golden vectors (hand-checked reference data) -------------------------
 
@@ -195,6 +199,18 @@ def exact_char_poly_mod2(rules: RuleVector) -> Gf2Poly:
     m = sympy.Matrix(transition_matrix(rules))
     coeffs = m.charpoly().all_coeffs()  # descending, exact ints
     return Gf2Poly.from_coeffs([int(c) % 2 for c in reversed(coeffs)])
+
+
+@functools.lru_cache(maxsize=None)
+def _char_poly_of_every_mask(r: int) -> tuple[int, ...]:
+    return tuple(_char_poly_bits(m, r) for m in range(1 << r))
+
+
+def exhaustive_rule_masks(target: int, r: int) -> list[int]:
+    """Every mask of r rules whose characteristic polynomial has bits
+    `target`, each of the 2^r masks stepped through all r continuants
+    on its own (cached per r, so one pass serves every target)."""
+    return [m for m, bits in enumerate(_char_poly_of_every_mask(r)) if bits == target]
 
 
 def elimination_fit(rules: RuleVector, target) -> tuple[int, int] | None:

@@ -213,9 +213,9 @@ def _attack_at(l1, l2):
 
 def test_criterion_8_attack_at_4_15():
     detail = "attack at (4, 15) over a 524272-bit window"
-    _criterion(8, 0.5, detail, _attack_at(4, 15))
+    _criterion(8, 0.2, detail, _attack_at(4, 15))
 
 
 def test_criterion_9_attack_at_3_17():
     detail = "attack at (3, 17) over a 1048568-bit window"
-    _criterion(9, 1.5, detail, _attack_at(3, 17))
+    _criterion(9, 0.4, detail, _attack_at(3, 17))

@@ -375,6 +375,19 @@ class TestUsage:
             " the most the automaton search takes\n"
         )
 
+    def test_linearize_at_the_search_degree(self):
+        # The top of the bound, searched for real (about 1 s), in a child so
+        # that a slower search times out instead of stalling the suite.
+        p2 = cf.first_primitive(22)
+        start = time.perf_counter()
+        proc = run_child("linearize", "--l1", "1", "--p2", p2.to_bitstring(), timeout=30)
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        pair = proc.stdout.split()
+        assert len(pair) == 2
+        for text in pair:
+            assert shrinkca.ca_char_poly(RuleVector.parse(text)) == p2
+
     def test_malformed_polynomial(self, capsys):
         code, _, err = run_cli(
             capsys, "lfsr", "--poly", "10a1", "--seed", "100", "--count", "5"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -96,6 +97,44 @@ class TestSynthesize:
                 if degree > 1:
                     assert len(pair) == 2
                     assert pair[0].mirror() == pair[1]
+
+    def test_walk_matches_the_exhaustive_search(self):
+        # The walk on every polynomial of degree 1-9, reducible ones with
+        # no solution or more than two included; synthesize_ca_pair on every
+        # irreducible polynomial of degree 10-12 and a seeded sample at 13-15.
+        counts = set()
+        for r in range(1, 10):
+            for target in range(1 << r, 1 << (r + 1)):
+                walked = shrinkca.linearizer._rule_masks(target, r)
+                assert set(walked) == set(cf.exhaustive_rule_masks(target, r)), (r, target)
+                assert len(walked) == len(set(walked))
+                counts.add(len(walked))
+        assert 0 in counts and max(counts) > 2
+        rng = random.Random(34)
+        for r in range(10, 16):
+            if r <= 12:
+                polys = [p for p in map(Gf2Poly, range(1 << r, 2 << r)) if is_irreducible(p)]
+            else:
+                polys = []
+                while len(polys) < 8:
+                    p = Gf2Poly(rng.randrange(1 << r, 2 << r))
+                    if is_irreducible(p):
+                        polys.append(p)
+            for p in polys:
+                found = {v.mask150 for v in synthesize_ca_pair(p)}
+                assert found == set(cf.exhaustive_rule_masks(p.bits, r)), str(p)
+
+    def test_walk_holds_no_frontier(self):
+        # Depth first, the walk keeps only the current path: a breadth-first
+        # search would hold 2^15 nodes at degree 16, megabytes.
+        p = cf.first_primitive(16)
+        tracemalloc.start()
+        try:
+            assert len(synthesize_ca_pair(p)) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestLinearize:
