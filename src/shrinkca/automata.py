@@ -12,9 +12,9 @@ the k-th continuant P_0 = 1, P_k = (x + d_k) P_(k-1) + P_(k-2) (E the
 shift, d_k cell k's rule), and P_L is chi, the characteristic
 polynomial.  So cell 1's first L bits fix the state, and its streams
 fill the L-dimensional solution space of chi(E) y = 0 that every cell's
-stream lies in.  `fit_initial_state` runs that recurrence once on L-bit
-ints: the continuants read the state off the target's first L bits, and
-chi(E) applied to the whole target checks it.
+stream lies in.  One loop on L-bit ints, `_continuants`, serves both: it
+ends at chi, and on the way reads a state off a target's first L bits,
+which `fit_initial_state` checks by chi(E) on the whole target.
 """
 
 from __future__ import annotations
@@ -144,18 +144,19 @@ def cell_output(states: Sequence[int], cell: int) -> list[int]:
     return [(s >> cell) & 1 for s in states]
 
 
-def _char_poly_bits(mask150: int, length: int) -> int:
-    # Three-term recurrence for the leading principal minors of x*I + M:
-    # P_0 = 1, P_k = (x + d_k) P_(k-1) + P_(k-2).
-    prev, cur = 1, 2 | (mask150 & 1)
-    for k in range(1, length):
+def _continuants(rules: RuleVector, head: int = 0) -> tuple[int, int]:
+    """(state, chi): state bit k is the parity of P_k & head; chi = P_L."""
+    mask150 = rules.mask150
+    prev, cur, state = 0, 1, 0
+    for k in range(len(rules)):
+        state |= ((cur & head).bit_count() & 1) << k
         prev, cur = cur, (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
-    return cur
+    return state, cur
 
 
 def ca_char_poly(rules: RuleVector) -> Gf2Poly:
     """Characteristic polynomial of the transition matrix, degree L."""
-    return Gf2Poly(_char_poly_bits(rules.mask150, len(rules)))
+    return Gf2Poly(_continuants(rules)[1])
 
 
 def fit_initial_state(
@@ -167,22 +168,18 @@ def fit_initial_state(
     cell replays the target, cell 1 does.  Cell k+1 at time 0 is P_k(E)
     applied to the target at time 0, P_k the k-th continuant of the
     rules (see the module docstring), so the state is read off the
-    target's first L bits in L steps on ints of at most L + 1 bits.  The
-    last continuant is chi, and the state replays the target iff chi(E)
-    kills it wherever the whole operator fits in the window: the implied
-    cell L+1, the null boundary, is zero there.  That check is one
-    carry-less product, a shifted copy of the window per term of chi;
-    doubled rules have chi = base(x^(2^j)), whose terms are few.
+    target's first L bits by the loop that gives `ca_char_poly`, in L
+    steps on ints of at most L + 1 bits.  The last continuant is chi,
+    and the state replays the target iff chi(E) kills it wherever the
+    whole operator fits in the window: the implied cell L+1, the null
+    boundary, is zero there.  That check is one carry-less product, a
+    shifted copy of the window per term of chi; doubled rules have chi =
+    base(x^(2^j)), whose terms are few.
     Returns (0, state) or None.  The target needs 2L or more 0/1 bits.
     """
     L, n = len(rules), len(target)
     if n < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
     window = _mask(target)  # bit t = target[t]; checks the bits
-    head = window & ((1 << L) - 1)
-    mask150 = rules.mask150
-    prev, cur, state = 0, 1, 0
-    for k in range(L):
-        state |= ((cur & head).bit_count() & 1) << k
-        prev, cur = cur, (cur << 1) ^ (cur if (mask150 >> k) & 1 else 0) ^ prev
-    return (0, state) if _annihilates(cur, window, n) else None
+    state, chi = _continuants(rules, window & ((1 << L) - 1))
+    return (0, state) if _annihilates(chi, window, n) else None

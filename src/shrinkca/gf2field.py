@@ -43,10 +43,10 @@ def minimal_polynomial_of_power(p2: Gf2Poly, n: int) -> Gf2Poly:
     Massey's theorem its first 2r bits fix it.  Any n >= 0 is accepted
     and reduced modulo the group order.
     """
-    if not is_primitive(p2):
-        raise ValueError(f"data polynomial {p2} must be primitive")
     if n < 0:
         raise ValueError("exponent must be nonnegative")
+    if not is_primitive(p2):
+        raise ValueError(f"data polynomial {p2} must be primitive")
     beta, powers = poly_powmod(X, n, p2).bits, [1]  # beta^0 .. beta^(2r - 1)
     while len(powers) < 2 * p2.degree:
         powers.append(_mulmod(powers[-1], beta, p2.bits))

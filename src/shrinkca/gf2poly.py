@@ -330,7 +330,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_primitive(p: Gf2Poly) -> bool:
-    """True iff p is irreducible and x has full order 2^degree - 1 mod p."""
+    """True iff p is irreducible and x has full order 2^degree - 1 mod p.
+    2^degree - 1 is factored by trial division, so degree 61 does not
+    finish; `linearize` and `attack` refuse such degrees before this."""
     r = p.degree
     if r < 1:
         raise ValueError("primitivity is undefined for constant polynomials")

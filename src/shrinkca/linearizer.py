@@ -42,7 +42,7 @@ class LinearizationResult(NamedTuple):
 
     Both vectors have characteristic polynomial base_poly**multiplicity
     and length = degree(base_poly) * multiplicity.  `degenerate` marks
-    the collapsed degree-1 case where only one vector exists.
+    the degree-1 case where only one vector exists: `rules_a is rules_b`.
     """
 
     rules_a: RuleVector
@@ -149,17 +149,14 @@ def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:
     if length > MAX_CELLS:
         raise ValueError(f"the automata would have {length} cells, over {MAX_CELLS}")
     pair = synthesize_ca_pair(base)
-    degenerate = len(pair) == 1
-    rules_a, rules_b = (pair[0], pair[0]) if degenerate else pair
     for _ in range(l1 - 1):
-        rules_a = concat_double(rules_a)
-        rules_b = concat_double(rules_b)
+        pair = tuple(map(concat_double, pair))
     return LinearizationResult(
-        rules_a=rules_a,
-        rules_b=rules_b,
+        rules_a=pair[0],
+        rules_b=pair[-1],
         base_poly=base,
         multiplicity=1 << (l1 - 1),
         length=length,
         coset_n=n,
-        degenerate=degenerate,
+        degenerate=len(pair) == 1,
     )

@@ -21,6 +21,9 @@ from __future__ import annotations
 import functools
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -42,7 +45,6 @@ from shrinkca import (
     is_primitive,
     poly_powmod,
 )
-from shrinkca.automata import _char_poly_bits
 
 # --- golden vectors (hand-checked reference data) -------------------------
 
@@ -202,15 +204,25 @@ def exact_char_poly_mod2(rules: RuleVector) -> Gf2Poly:
 
 
 @functools.lru_cache(maxsize=None)
-def _char_poly_of_every_mask(r: int) -> tuple[int, ...]:
-    return tuple(_char_poly_bits(m, r) for m in range(1 << r))
+def char_poly_of_every_mask(r: int) -> tuple[int, ...]:
+    """Characteristic polynomial bits of every mask of r rules (bit i-1
+    is d_i), each stepped through P_k = (x + d_k) P_(k-1) + P_(k-2) from
+    P_0 = 1, P_1 = x + d_1 on its own."""
+    table = []
+    for m in range(1 << r):
+        prev, cur = 1, 2 + (m & 1)
+        for k in range(1, r):
+            d = (m >> k) & 1
+            prev, cur = cur, (cur << 1) ^ (d * cur) ^ prev
+        table.append(cur)
+    return tuple(table)
 
 
 def exhaustive_rule_masks(target: int, r: int) -> list[int]:
     """Every mask of r rules whose characteristic polynomial has bits
     `target`, each of the 2^r masks stepped through all r continuants
     on its own (cached per r, so one pass serves every target)."""
-    return [m for m, bits in enumerate(_char_poly_of_every_mask(r)) if bits == target]
+    return [m for m, bits in enumerate(char_poly_of_every_mask(r)) if bits == target]
 
 
 def elimination_fit(rules: RuleVector, target) -> tuple[int, int] | None:
@@ -458,6 +470,20 @@ def first_primitive(degree: int) -> Gf2Poly:
         if is_primitive(p):
             return p
     raise AssertionError(f"no primitive polynomial of degree {degree}")
+
+
+def bare_python(code: str, timeout: float = 60) -> str:
+    """Run `code` in a bare interpreter (no site, warnings as errors) with
+    this checkout's src first on sys.path, and return its stdout; a run
+    over `timeout` seconds fails the test instead of hanging it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}"
+    child = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-c", code],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    return child.stdout
 
 
 def random_nonzero_seed(rng: random.Random, length: int) -> list[int]:

@@ -188,6 +188,14 @@ class TestCharPoly:
             rules = RuleVector([rng.randrange(2) for _ in range(length)])
             assert ca_char_poly(rules) == cf.exact_char_poly_mod2(rules)
 
+    def test_matches_per_mask_oracle_on_every_short_vector(self):
+        # All 2,046 rule vectors of length 1-10.
+        for length in range(1, 11):
+            table = cf.char_poly_of_every_mask(length)
+            for mask in range(1 << length):
+                rules = RuleVector([(mask >> i) & 1 for i in range(length)])
+                assert ca_char_poly(rules).bits == table[mask]
+
     def test_reversal_invariance(self):
         rng = random.Random(9)
         for _ in range(100):

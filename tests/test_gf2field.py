@@ -86,6 +86,18 @@ class TestMinimalPolynomial:
         with pytest.raises(ValueError, match="primitive"):
             minimal_polynomial_of_power(Gf2Poly.parse("11111"), 3)
 
+    def test_negative_exponent_is_refused_before_the_primitivity_test(self):
+        # Testing a degree-61 p2 for primitivity does not finish, so the
+        # call runs in a child interpreter whose timeout fails the test.
+        code = (
+            "from shrinkca import Gf2Poly, minimal_polynomial_of_power\n"
+            "try:\n"
+            "    minimal_polynomial_of_power(Gf2Poly.parse('1+x+x^2+x^5+x^61'), -1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert cf.bare_python(code, timeout=10) == "exponent must be nonnegative\n"
+
     def test_output_is_irreducible_with_coset_degree(self):
         for r in (4, 5, 6):
             p2 = cf.first_primitive(r)

@@ -261,5 +261,5 @@ class TestLinearize:
     def test_degenerate_data_length_one(self):
         result = linearize_shrinking_generator(2, Gf2Poly.parse("11"))
         assert result.degenerate
-        assert result.rules_a == result.rules_b
+        assert result.rules_a is result.rules_b
         assert result.length == 2

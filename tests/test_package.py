@@ -1,10 +1,7 @@
 """The package's public surface: the union of its layers' ``__all__``,
 and the standard-library modules importing it pulls in."""
 
-import subprocess
-import sys
-from pathlib import Path
-
+import conftest as cf
 import shrinkca
 from shrinkca import analysis, automata, generators, gf2field, gf2poly, linearizer
 
@@ -33,34 +30,21 @@ def test_each_name_is_its_defining_layers_object():
             assert getattr(shrinkca, name) is getattr(layer, name), name
 
 
-def _bare_import(code):
-    # A bare interpreter (no site, warnings as errors) with this checkout's
-    # src first on sys.path runs `code`; its stdout is returned.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys\nsys.path.insert(0, {src!r})\n{code}"
-    child = subprocess.run(
-        [sys.executable, "-S", "-W", "error", "-c", code],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert (child.returncode, child.stderr) == (0, "")
-    return child.stdout
-
-
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # `dataclasses` imports `inspect`, which costs more than the whole package.
     code = "import shrinkca.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    assert _bare_import(code) == "[]\n"
+    assert cf.bare_python(code) == "[]\n"
 
 
 def test_cli_import_leaves_out_json_and_the_package_leaves_out_re():
     # Only `--format json` output loads `json`.  No module of the package
     # imports `re`; `typing`, which the records' NamedTuple needs, imports
     # it on its own, so it is dropped again after `typing` has loaded.
-    assert _bare_import("import shrinkca.cli\nprint('json' in sys.modules)\n") == "False\n"
+    assert cf.bare_python("import shrinkca.cli\nprint('json' in sys.modules)\n") == "False\n"
     code = (
         "import typing\n"
         "sys.modules.pop('re', None)\n"
         "import shrinkca\n"
         "print('re' in sys.modules)\n"
     )
-    assert _bare_import(code) == "False\n"
+    assert cf.bare_python(code) == "False\n"
