@@ -23,7 +23,6 @@ from .gf2poly import _shortest_recurrence, _text, is_primitive
 from .linearizer import LinearizationResult, linearize_shrinking_generator
 
 __all__ = [
-    "MAX_WINDOW_BITS",
     "BmResult",
     "AttackReport",
     "berlekamp_massey",
@@ -175,10 +174,8 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
 
     # rules_b shares the characteristic polynomial of rules_a, so its
     # cells span the same solution space: fitting it too adds nothing.
-    fit = fit_initial_state(lin.rules_a, window)
-    verdict = fit is not None
-    matched_rules = lin.rules_a if verdict else None
-    matched_cell, initial_state = fit if verdict else (None, None)
+    initial_state = fit_initial_state(lin.rules_a, window)
+    verdict = initial_state is not None
 
     # A replayed window obeys chi(E) of degree L = lin.length, so by
     # Massey's theorem its first 2L bits fix its polynomial.
@@ -203,8 +200,8 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
         lc_in_bounds=inside if bounds else None,
         measured_multiplicity=lc // base.degree if fact_ok else None,
         factorization_ok=fact_ok,
-        matched_rules=matched_rules,
-        matched_cell=matched_cell,
+        matched_rules=lin.rules_a if verdict else None,
+        matched_cell=0 if verdict else None,  # cell 1 observes the whole state
         initial_state=initial_state,
         window_length=len(window),
         verified_period=period if verdict else 0,

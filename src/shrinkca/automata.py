@@ -110,6 +110,8 @@ def state_from_bits(bits: Sequence[int]) -> int:
 
 def state_to_bits(state: int, length: int) -> bytes:
     """Unpack a state word into its cells as 0/1 bytes, cell 1 first."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if not 0 <= state < (1 << length):
         raise ValueError("state does not fit the given length")
     return _from_digits(_text(state, length))[:length]  # the empty mask's text is "0"
@@ -159,27 +161,24 @@ def ca_char_poly(rules: RuleVector) -> Gf2Poly:
     return Gf2Poly(_continuants(rules)[1])
 
 
-def fit_initial_state(
-    rules: RuleVector, target: Sequence[int]
-) -> Optional[tuple[int, int]]:
-    """Find (cell, initial state) whose cell output reproduces `target`.
+def fit_initial_state(rules: RuleVector, target: Sequence[int]) -> Optional[int]:
+    """The initial state whose cell 1 output reproduces `target`, or None.
 
-    The cell is always 0: cell 1 observes the whole state, so if any
-    cell replays the target, cell 1 does.  Cell k+1 at time 0 is P_k(E)
-    applied to the target at time 0, P_k the k-th continuant of the
-    rules (see the module docstring), so the state is read off the
-    target's first L bits by the loop that gives `ca_char_poly`, in L
-    steps on ints of at most L + 1 bits.  The last continuant is chi,
-    and the state replays the target iff chi(E) kills it wherever the
-    whole operator fits in the window: the implied cell L+1, the null
-    boundary, is zero there.  That check is one carry-less product, a
-    shifted copy of the window per term of chi; doubled rules have chi =
-    base(x^(2^j)), whose terms are few.
-    Returns (0, state) or None.  The target needs 2L or more 0/1 bits.
+    Cell 1 observes the whole state, so if any cell replays the target,
+    cell 1 does.  Cell k+1 at time 0 is P_k(E) applied to the target at
+    time 0, P_k the k-th continuant of the rules (see the module
+    docstring), so the state is read off the target's first L bits by
+    the loop that gives `ca_char_poly`, in L steps on ints of at most
+    L + 1 bits.  The last continuant is chi, and the state replays the
+    target iff chi(E) kills it wherever the whole operator fits in the
+    window: the implied cell L+1, the null boundary, is zero there.
+    That check is one carry-less product, a shifted copy of the window
+    per term of chi; doubled rules have chi = base(x^(2^j)), whose terms
+    are few.  The target needs 2L or more 0/1 bits.
     """
     L, n = len(rules), len(target)
     if n < 2 * L:
         raise ValueError(f"target must supply at least {2 * L} bits")
     window = _mask(target)  # bit t = target[t]; checks the bits
     state, chi = _continuants(rules, window & ((1 << L) - 1))
-    return (0, state) if _annihilates(chi, window, n) else None
+    return state if _annihilates(chi, window, n) else None

@@ -17,6 +17,7 @@ Its Berlekamp-Massey loop is the package's one dependency finder.
 from __future__ import annotations
 
 __all__ = [
+    "MAX_WINDOW_BITS",
     "Gf2Poly",
     "ZERO",
     "ONE",

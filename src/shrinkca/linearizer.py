@@ -2,13 +2,13 @@
 
 Pipeline: the control length L1 and data polynomial P2 determine the
 minimal polynomial P of alpha^(2^L1 - 1); a pair of 90/150 automata with
-characteristic polynomial P is synthesized by a depth-first walk over
-the continuants of every rule vector; the doubling construction (flip
-the last rule, append the mirror image) is applied L1 - 1 times,
-squaring the characteristic polynomial each time.  The control
-polynomial itself is never consulted, so all generators sharing (L1, P2)
-map to the same pair.  The doubled length L = degree(base) * 2^(L1 - 1)
-is refused above MAX_CELLS before any doubling.
+characteristic polynomial P is synthesized by a pure depth-first
+recursion over the continuants of every rule vector, in wire order; the
+doubling construction (flip the last rule, append the mirror image) is
+applied L1 - 1 times, squaring the characteristic polynomial each time.
+The control polynomial itself is never consulted, so all generators
+sharing (L1, P2) map to the same pair.  The doubled length L =
+degree(base) * 2^(L1 - 1) is refused above MAX_CELLS before any doubling.
 """
 
 from __future__ import annotations
@@ -84,24 +84,23 @@ def _check_search_degree(degree: int) -> None:
         )
 
 
-def _rule_masks(target: int, r: int) -> list[int]:
-    """Masks of r >= 1 rules (bit i-1 is d_i) whose continuant P_r is target:
-    depth-first over (P_(k-1), P_k), so shared prefixes are stepped once
-    and the last rule is solved, about 2^r steps in O(r) memory."""
-    found, last = [], 1 << (r - 1)
+def _walk(target: int, last: int, prev: int, cur: int, mask: int, bit: int):
+    """Masks under the node (P_(k-1), P_k) = (prev, cur), d_1..d_k in `mask`,
+    `bit` = 1 << k, whose continuant at bit `last` is target: the d = 0
+    child before the d = 1 child, so in wire order."""
+    up = (cur << 1) ^ prev  # x * P_k + P_(k-1); d_(k+1) = 1 adds P_k
+    if bit == last:
+        return (mask,) if target == up else (mask | bit,) if target == up ^ cur else ()
+    return _walk(target, last, cur, up, mask, bit << 1) + _walk(
+        target, last, cur, up ^ cur, mask | bit, bit << 1
+    )
 
-    def walk(prev: int, cur: int, mask: int, bit: int) -> None:
-        up = (cur << 1) ^ prev  # x * P_k + P_(k-1); d_(k+1) = 1 adds P_k
-        if bit != last:
-            walk(cur, up, mask, bit << 1)
-            walk(cur, up ^ cur, mask | bit, bit << 1)
-        elif target == up:
-            found.append(mask)
-        elif target == up ^ cur:
-            found.append(mask | bit)
 
-    walk(0, 1, 0, 1)
-    return found
+def _rule_masks(target: int, r: int) -> tuple[int, ...]:
+    """Masks of r >= 1 rules (bit i-1 is d_i) whose continuant P_r is target,
+    in wire order: shared prefixes are stepped once and the last rule is
+    solved, about 2^r steps in O(r) memory."""
+    return _walk(target, 1 << (r - 1), 0, 1, 0, 1)
 
 
 def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
@@ -109,20 +108,21 @@ def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
 
     p must be irreducible.  Exhaustive: a depth-first walk over the
     continuants of all 2^degree candidates, so a degree over 22 is refused
-    before it; normally two mutually reversed vectors come back, in
-    lexicographic order, collapsing to one for degree 1.
+    before it.  The walk keeps no state outside the call and yields the
+    vectors in wire order by construction: normally two mutually reversed
+    vectors, collapsing to one for degree 1.
     """
     _check_search_degree(p.degree)
     if not is_irreducible(p):
         raise ValueError(f"{p} is reducible; no irreducible-power automaton exists")
     r = p.degree
-    found = sorted(RuleVector._from_mask(m, r) for m in _rule_masks(p.bits, r))
+    found = tuple(RuleVector._from_mask(m, r) for m in _rule_masks(p.bits, r))
     if not 1 <= len(found) <= 2:
         raise RuntimeError(
             f"expected one or two automata for {p}, found {len(found)}: "
             + ", ".join(str(v) for v in found)
         )
-    return tuple(found)
+    return found
 
 
 def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:

@@ -58,6 +58,11 @@ class TestRuleVector:
     def test_ordering_and_equality(self):
         assert RuleVector.parse("01111") < RuleVector.parse("11110")
         assert RuleVector.parse("01") == RuleVector((0, 1))
+        rv = RuleVector.parse("01")
+        assert rv.__eq__("01") is rv.__lt__("01") is NotImplemented
+        assert rv != "01"
+        with pytest.raises(TypeError):
+            rv < "01"
 
     def test_packed_form_matches_tuple_oracle(self):
         # Every vector of length 1..8 against its tuple: text, bits,
@@ -96,6 +101,8 @@ class TestStatePacking:
     def test_bounds(self):
         with pytest.raises(ValueError):
             state_to_bits(4, 2)
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            state_to_bits(0, -1)
         with pytest.raises(ValueError):
             state_from_bits([0, 2])
 
@@ -167,6 +174,8 @@ class TestRun:
     def test_cell_output_reads_columns(self):
         states = [_pack(row) for row in cf.ORBIT_ROWS]
         assert cell_output(states, 3) == [int(row[3]) for row in cf.ORBIT_ROWS]
+        with pytest.raises(ValueError, match="cell index must be nonnegative"):
+            cell_output(states, -1)
 
 
 class TestCharPoly:
@@ -227,6 +236,12 @@ class TestTransitionMatrix:
                     assert m[i][j] == 0
 
 
+def _as_fit(state):
+    """The fit in the oracles' (cell, state) form: the fit always claims
+    cell 0, the oracles search every cell."""
+    return None if state is None else (0, state)
+
+
 class TestFitInitialState:
     def test_roundtrip_random(self):
         rng = random.Random(13)
@@ -236,15 +251,13 @@ class TestFitInitialState:
             hidden = rng.randrange(1 << length)
             cell = rng.randrange(length)
             target = cell_output(ca_run(rules, hidden, 4 * length), cell)
-            fit = fit_initial_state(rules, target)
-            assert fit is not None
-            got_cell, got_state = fit
-            replay = cell_output(ca_run(rules, got_state, len(target) - 1), got_cell)
-            assert replay == target
+            got_state = fit_initial_state(rules, target)
+            assert got_state is not None
+            assert cell_output(ca_run(rules, got_state, len(target) - 1), 0) == target
 
     def test_zero_target(self):
         rules = RuleVector.parse("0111")
-        assert fit_initial_state(rules, [0] * 8) == (0, 0)
+        assert fit_initial_state(rules, [0] * 8) == 0
 
     def test_unreachable_target_reports_none(self):
         # Both cells of a 2-cell rule-90 pair satisfy a_(n+2) = a_n, so a
@@ -292,7 +305,7 @@ class TestFitInitialState:
                     target[rng.randrange(low, n)] ^= 1
             target = (list, tuple, bytes)[case // 24 % 3](target)
             got = fit_initial_state(rules, target)
-            assert got == cf.elimination_fit(rules, target), (str(rules), target)
+            assert _as_fit(got) == cf.elimination_fit(rules, target), (str(rules), target)
             fitted += got is not None
         assert 1200 <= fitted < 2400  # both outcomes well exercised
 
@@ -328,7 +341,9 @@ class TestFitInitialState:
                         cases += self._flips(target, L) if L <= 40 else []
                         for t, case in cases:
                             got = fit_initial_state(rules, case)
-                            assert got == cf.elimination_fit(rules, case), (str(rules), n, t)
+                            assert _as_fit(got) == cf.elimination_fit(rules, case), (
+                                str(rules), n, t
+                            )
                             fitted += got is not None
                             # chi(0) = 1 puts each flip under a check;
                             # chi = x^L (base x) misses flips below L.
@@ -345,9 +360,9 @@ class TestFitInitialState:
         L, window = len(rules), gen.shrunken_sequence(15872)
         assert (L, len(window)) == (1280, 15872)
         fit = fit_initial_state(rules, window)
-        assert fit is not None and fit == cf.column_fit(rules, window)
+        assert fit is not None and (0, fit) == cf.column_fit(rules, window)
         assert fit_initial_state(rules, window[: 2 * L]) == fit
-        assert fit_initial_state(rules, bytes(len(window))) == (0, 0)
+        assert fit_initial_state(rules, bytes(len(window))) == 0
         for t, flipped in self._flips(window, L):
             got = fit_initial_state(rules, flipped)
             assert got is None and cf.column_fit(rules, flipped) is None, t
@@ -357,7 +372,9 @@ class TestFitInitialState:
             for n in range(2, 7):
                 for target in product((0, 1), repeat=n):
                     got = fit_initial_state(rules, target)
-                    assert got == cf.elimination_fit(rules, target), (str(rules), target)
+                    assert _as_fit(got) == cf.elimination_fit(rules, target), (
+                        str(rules), target
+                    )
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -370,8 +387,8 @@ class TestFitInitialState:
         n = data.draw(st.integers(2 * length, 6 * length))
         target = cell_output(ca_run(rules, state, n - 1), cell)
         fit = fit_initial_state(rules, target)
-        assert fit is not None and fit[0] == 0
-        assert cell_output(ca_run(rules, fit[1], n - 1), 0) == target
+        assert fit is not None
+        assert cell_output(ca_run(rules, fit, n - 1), 0) == target
 
     def test_unfittable_wide_target_returns_none_fast(self):
         # A random 640-bit target fits 320 cells with probability 2^-320.

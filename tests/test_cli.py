@@ -342,6 +342,19 @@ class TestUsage:
         assert (code, out) == (3, "")
         assert err == "shrinkca: internal error: first dependency is not a minimal polynomial\n"
 
+    def test_automaton_count_invariant_exits_three(self, capsys, monkeypatch):
+        # An irreducible base has one or two automata; a search that found
+        # three is an internal error, reported by the synthesis itself.
+        import shrinkca.linearizer
+
+        monkeypatch.setattr(shrinkca.linearizer, "_rule_masks", lambda target, r: (0, 1, 2))
+        code, out, err = run_cli(capsys, "linearize", "--l1", "3", "--p2", cf.R2B_POLY)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"shrinkca: internal error: expected one or two automata for {cf.BASE5},"
+            " found 3: 00000, 10000, 01000\n"
+        )
+
     def test_out_of_memory_exits_two_without_traceback(self, capsys, monkeypatch):
         import shrinkca.cli
 

@@ -75,6 +75,8 @@ class TestLfsr:
         reg = cf.make_lfsr(cf.R1_POLY, cf.R1_SEED)
         assert reg.sequence(0) == b""
         assert reg.sequence(2) == bytes([1, 0])
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            reg.sequence(-1)
 
     def test_seed_length_must_match_degree(self):
         with pytest.raises(ValueError):
@@ -137,6 +139,10 @@ class TestShrinkingGenerator:
         with pytest.raises(ValueError, match="no ones"):
             gen.shrunken_sequence(5)
         assert gen.shrunken_sequence(0) == b""
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            cf.gen_a().shrunken_sequence(-1)
 
     def test_noncoprime_lengths_rejected(self):
         with pytest.raises(ValueError, match="coprime"):

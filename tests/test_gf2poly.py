@@ -84,6 +84,21 @@ class TestParseFormat:
         with pytest.raises(ValueError, match="sequence bits must be 0 or 1"):
             Gf2Poly.from_coeffs(bad)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "101", None])
+    def test_mask_must_be_a_nonnegative_int(self, bad):
+        with pytest.raises(ValueError, match="coefficient mask must be a nonnegative int"):
+            Gf2Poly(bad)
+
+    def test_is_immutable(self):
+        p = P("101")
+        with pytest.raises(AttributeError, match="Gf2Poly is immutable"):
+            p.bits = 3
+        assert p == Gf2Poly(5)
+
+    def test_equal_polynomials_hash_alike(self):
+        assert hash(P("1+x^2")) == hash(P("1010")) == hash(Gf2Poly(5))
+        assert len({P("101"), P("1+x^2"), Gf2Poly(5), P("11")}) == 2
+
     def test_degree(self):
         assert ZERO.degree == -1
         assert ONE.degree == 0
@@ -135,6 +150,7 @@ class TestArithmetic:
             a = Gf2Poly(rng.getrandbits(64))
             m = Gf2Poly(rng.getrandbits(32) | 1 << rng.randrange(1, 32))
             q, r = divmod(a, m)
+            assert (a // m, a % m) == (q, r)
             assert r.degree < m.degree
             assert q * m + r == a
             assert (q, r) == long_division_lists(a, m)
@@ -174,6 +190,25 @@ class TestArithmetic:
                 base**k
         assert ZERO ** (1 << 40) == ZERO
         assert ONE ** (1 << 40) == ONE
+
+    @pytest.mark.parametrize(
+        "name, operand",
+        [
+            ("__add__", 1),
+            ("__sub__", 1),
+            ("__mul__", 1),
+            ("__divmod__", 1),
+            ("__floordiv__", 1),
+            ("__mod__", 1),
+            ("__eq__", 1),
+            ("__pow__", -1),
+            ("__pow__", 1.5),
+        ],
+    )
+    def test_foreign_operand_is_not_implemented(self, name, operand):
+        # Python then tries the operand's reflected method, so a mixed
+        # expression raises TypeError, and == falls back to identity.
+        assert getattr(P("101"), name)(operand) is NotImplemented
 
 
 class TestPowmod:

@@ -102,12 +102,16 @@ class TestSynthesize:
         # The walk on every polynomial of degree 1-9, reducible ones with
         # no solution or more than two included; synthesize_ca_pair on every
         # irreducible polynomial of degree 10-12 and a seeded sample at 13-15.
+        # Both give the oracle's masks in wire order, with no sort of their own.
+        def in_wire_order(masks, r):
+            return sorted(masks, key=lambda m: str(RuleVector._from_mask(m, r)))
+
         counts = set()
         for r in range(1, 10):
             for target in range(1 << r, 1 << (r + 1)):
-                walked = shrinkca.linearizer._rule_masks(target, r)
-                assert set(walked) == set(cf.exhaustive_rule_masks(target, r)), (r, target)
-                assert len(walked) == len(set(walked))
+                walked = list(shrinkca.linearizer._rule_masks(target, r))
+                oracle = in_wire_order(cf.exhaustive_rule_masks(target, r), r)
+                assert walked == oracle, (r, target)
                 counts.add(len(walked))
         assert 0 in counts and max(counts) > 2
         rng = random.Random(34)
@@ -121,8 +125,8 @@ class TestSynthesize:
                     if is_irreducible(p):
                         polys.append(p)
             for p in polys:
-                found = {v.mask150 for v in synthesize_ca_pair(p)}
-                assert found == set(cf.exhaustive_rule_masks(p.bits, r)), str(p)
+                found = [v.mask150 for v in synthesize_ca_pair(p)]
+                assert found == in_wire_order(cf.exhaustive_rule_masks(p.bits, r), r), str(p)
 
     def test_walk_holds_no_frontier(self):
         # Depth first, the walk keeps only the current path: a breadth-first

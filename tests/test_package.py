@@ -1,9 +1,14 @@
 """The package's public surface: the union of its layers' ``__all__``,
-and the standard-library modules importing it pulls in."""
+the standard-library modules importing it pulls in, and what its calls
+leave for the cyclic collector."""
+
+import ast
+import gc
+from pathlib import Path
 
 import conftest as cf
 import shrinkca
-from shrinkca import analysis, automata, generators, gf2field, gf2poly, linearizer
+from shrinkca import analysis, automata, cli, generators, gf2field, gf2poly, linearizer
 
 PUBLIC = {
     "AttackReport", "BmResult", "Gf2Poly", "Lfsr", "LinearizationResult",
@@ -28,6 +33,66 @@ def test_each_name_is_its_defining_layers_object():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(shrinkca, name) is getattr(layer, name), name
+
+
+def test_each_layer_defines_the_names_it_declares():
+    # The package exports the union of the layers' __all__, so a name a
+    # layer imports and declares again would have two declaring layers.
+    for layer in LAYERS + (cli,):
+        defined = set()
+        for node in ast.parse(Path(layer.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        assert set(layer.__all__) <= defined, (layer.__name__, set(layer.__all__) - defined)
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    # Each routine runs once as a warm-up, then again with the cyclic
+    # collector off and saving what it frees, so a reference cycle the call
+    # made is left in gc.garbage.  shrinkca.cli.main is left out: argparse
+    # builds a parser full of cycles on every call.
+    p2, base = shrinkca.Gf2Poly.parse(cf.R2B_POLY), shrinkca.Gf2Poly.parse(cf.BASE5)
+    gen = cf.gen_b()
+    rules = shrinkca.linearize_shrinking_generator(3, p2).rules_a
+    window = gen.shrunken_sequence(124)
+
+    def verify():
+        report = shrinkca.verify_linearization(gen)
+        return report.to_dict(), report.to_text()
+
+    calls = {
+        "synthesize_ca_pair": lambda: shrinkca.synthesize_ca_pair(base),
+        "linearize_shrinking_generator": lambda: shrinkca.linearize_shrinking_generator(3, p2),
+        "verify_linearization, to_dict, to_text": verify,
+        "fit_initial_state": lambda: shrinkca.fit_initial_state(rules, window),
+        "ca_run, cell_output": lambda: shrinkca.cell_output(shrinkca.ca_run(rules, 1, 40), 0),
+        "berlekamp_massey": lambda: shrinkca.berlekamp_massey(window),
+        "minimal_polynomial_of_power": lambda: shrinkca.minimal_polynomial_of_power(p2, 7),
+        "is_primitive": lambda: shrinkca.is_primitive(p2),
+        "Lfsr.sequence": lambda: gen.r2.sequence(200),
+        "shrunken_sequence": lambda: gen.shrunken_sequence(200),
+        "Gf2Poly.parse, __pow__": lambda: shrinkca.Gf2Poly.parse("1+x^2+x^5") ** 4,
+    }
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    try:
+        for name, call in calls.items():
+            call()
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            call()
+            gc.collect()
+            gc.set_debug(flags)
+            left = [type(obj).__name__ for obj in gc.garbage]
+            gc.garbage.clear()
+            assert left == [], name
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
