@@ -9,6 +9,13 @@ every output bit satisfies a_n = sum of a_(n-r+j) over the set
 coefficients j < r of P.  The seed is the first r emitted bits, so
 (1,0,0) starts the stream 1,0,0,...  (The reciprocal-polynomial
 convention, where taps read from the other end, is not used.)
+
+A register is stepped for at most one cycle: its first r bits, then a
+cycle of T <= 2**r bits that repeats, so any stream costs at most
+2**r + 2r stepped bits.  The shrunken keystream is built from those
+cycles by decimation (Coppersmith, Krawczyk and Mansour): read in rows
+of w, w the ones of a control cycle, its columns are the data stream
+decimated at stride T, which is 2**L1 - 1 for a primitive control.
 """
 
 from __future__ import annotations
@@ -29,6 +36,12 @@ __all__ = [
 _LEAP_MAX = 4096  # largest block of bits one leap step generates
 # Pair bytes 2*control + data: the kept ones, 2 and 3, become data bits.
 _KEPT = bytes.maketrans(b"\2\3", b"\0\1")
+
+
+def _kept(control: bytes, data: bytes) -> bytes:
+    """The data bits where the equally long control stream holds a 1."""
+    pairs = (int.from_bytes(control, "big") << 1) | int.from_bytes(data, "big")
+    return pairs.to_bytes(len(control), "big").translate(_KEPT, b"\0\1")
 
 
 def parse_bits(text: str) -> bytes:
@@ -70,14 +83,34 @@ class Lfsr:
         return self.charpoly.degree
 
     def sequence(self, n: int) -> bytes:
-        """First n output bits as 0/1 bytes.  P(x)**B = P(x**B) for B = 2**k,
-        so once r blocks of B bits exist, the next block is the XOR of the
-        blocks lag back, over the lags of P.  The r seed bits are the first
-        blocks; every r new blocks, pairs merge into blocks twice as long,
-        up to _LEAP_MAX bits."""
+        """First n output bits as 0/1 bytes: the first r bits, then the
+        register's cycle repeated (`_cycle`), cut to n bits."""
         if n < 0:
             raise ValueError("count must be nonnegative")
+        bits, t = self._cycle(n)
+        if not t:
+            return bits
         r = self.length
+        return (bits[:r] + bits[r:] * -(-(n - r) // t))[:n]
+
+    def _cycle(self, limit: int) -> tuple[bytes, int]:
+        """The stream up to the end of its first cycle and the cycle length
+        T, so bits[:r] + bits[r:] * k starts the stream for every k; or the
+        first `limit` bits and 0 if the cycle does not close within them.
+
+        With P = x**k * Q and Q(0) = 1, the stream from bit k <= r on
+        follows the invertible Q, so it is purely periodic: the state at
+        time r (bits r..2r-1) is on the cycle, and bytes.find finds its
+        first recurrence.  A cycle has at most 2**r states, so no more than
+        2**r + 2r bits are stepped.
+
+        Stepping: P(x)**B = P(x**B) for B = 2**k, so once r blocks of B
+        bits exist, the next block is the XOR of the blocks lag back, over
+        the lags of P.  The r seed bits are the first blocks; every r new
+        blocks, pairs merge into blocks twice as long, up to _LEAP_MAX
+        bits."""
+        r = self.length
+        n = min(limit, (1 << r) + 2 * r)
         blocks, size = list(self.state), 1
         while len(blocks) * size < n:
             if len(blocks) == 2 * r and size < _LEAP_MAX:
@@ -88,7 +121,9 @@ class Lfsr:
                 new ^= blocks[-lag]
             blocks.append(new)
         digits = "".join(format(block, f"0{size}b") for block in blocks)
-        return _from_digits(digits[:n])
+        bits = _from_digits(digits[:n])
+        end = bits.find(bits[r : 2 * r], r + 1) if n >= 2 * r else -1
+        return (bits, 0) if end < 0 else (bits[:end], end - r)
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -113,28 +148,46 @@ class ShrinkingGenerator:
         raise AttributeError("ShrinkingGenerator is immutable")
 
     def shrunken_sequence(self, n: int) -> bytes:
-        """First n kept bits of the data stream as 0/1 bytes.  Each pair of
-        register bits becomes one byte 2*control + data, and one translate
-        deletes the bytes 0 and 1 (control 0) and maps 2 and 3 to the data
-        bit."""
+        """First n kept bits of the data stream as 0/1 bytes.
+
+        The control stream is a head of r1 bits with h ones, then a cycle
+        of T bits with w ones at pos_0 < ... < pos_(w-1) (`Lfsr._cycle`), so
+        kept bit h + i*w + k is data bit r1 + i*T + pos_k: column k of the
+        keystream in rows of w is a slice of the data stream at stride T.
+        When q > 1 cycles are needed and w <= q, the keystream is those w
+        slices.  Otherwise, and for a control whose cycle does not close
+        within the bits its first n ones need, each pair of register bits
+        becomes one byte 2*control + data, and one translate deletes the
+        bytes 0 and 1 (control 0) and maps 2 and 3 to the data bit."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):
             raise ValueError("control register produces no ones")
-        # m is enough for a primitive control, 2**(L1-1) ones per 2**L1 - 1 bits;
-        # a control cycle has at most 2**L1 states, so past `cap` the ones are gone.
-        cap = (n + 1) << self.r1.length
-        m = 2 * n + (2 << self.r1.length)
-        while True:
-            pairs = (int.from_bytes(self.r1.sequence(m), "big") << 1) | int.from_bytes(
-                self.r2.sequence(m), "big"
-            )
-            kept = pairs.to_bytes(m, "big").translate(_KEPT, b"\0\1")
-            if len(kept) >= n:
-                return kept[:n]
-            if m > cap:
-                raise ValueError("control register ran out of ones")
+        r = self.r1.length
+        # A primitive control has 2**(r-1) ones per 2**r - 1 bits, so m bits
+        # mostly hold n ones; the doubling ends by 2**r + 2r bits at most,
+        # where every cycle has closed.
+        m = 2 * n + 2 * r + 2
+        control, t = self.r1._cycle(m)
+        while not t and control.count(1) < n:
             m *= 2
+            control, t = self.r1._cycle(m)
+        if t:
+            head, cycle = control[:r], control[r:]
+            h, w = head.count(1), cycle.count(1)
+            if h < n and not w:
+                raise ValueError("control register ran out of ones")
+            q = -(-(n - h) // w) if h < n else 0
+            if 1 < q and w <= q:
+                data = self.r2.sequence(r + q * t)
+                out = bytearray(h + q * w)
+                out[:h] = _kept(head, data[:r])
+                ones = (pos for pos, bit in enumerate(cycle) if bit)
+                for k, pos in enumerate(ones):
+                    out[h + k :: w] = data[r + pos :: t]
+                return bytes(out[:n])
+            control = head + cycle * q
+        return _kept(control, self.r2.sequence(len(control)))[:n]
 
     def __repr__(self):
         return f"ShrinkingGenerator({self.r1!r}, {self.r2!r})"

@@ -73,6 +73,20 @@ class TestStreams:
         assert code == 0
         assert json.loads(out) == {"bits": cf.KEYSTREAM_A_13}
 
+    def test_short_shrink_with_a_long_control_steps_a_prefix(self):
+        # A degree-41 control cycles every 2**41 bits at most: ten output bits
+        # come from a short prefix of it, not from 2**42 stepped bits.
+        p1, s1, p2, s2 = "1001" + "0" * 37 + "1", "1" + "0" * 40, "11001", "1000"
+        proc = run_child(
+            "shrink", "--p1", p1, "--s1", s1, "--p2", p2, "--s2", s2, "--count", "10",
+            address_space=512 << 20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        control = cf.literal_lfsr(cf.make_lfsr(p1, s1), 400)
+        data = cf.literal_lfsr(cf.make_lfsr(p2, s2), 400)
+        kept = "".join(str(d) for c, d in zip(control, data) if c)
+        assert len(kept) >= 10 and proc.stdout == kept[:10] + "\n"
+
 
 class TestCa:
     def test_run_golden_rows(self, capsys):
@@ -341,6 +355,22 @@ class TestUsage:
         )
         assert (code, out) == (3, "")
         assert err == "shrinkca: internal error: first dependency is not a minimal polynomial\n"
+
+    @pytest.mark.parametrize(
+        "mask", [0b100001, 0b1011], ids=["reducible", "wrong-degree"]
+    )
+    def test_minimal_polynomial_invariant_exits_three(self, capsys, monkeypatch, mask):
+        # The base polynomial of (3, R2B) has degree 5, the size of the coset
+        # of 7 mod 31: a shortest recurrence of 1 + x^5 (reducible) or of
+        # 1 + x + x^3 (degree 3) fails the check in gf2field itself.
+        import shrinkca.gf2field
+
+        monkeypatch.setattr(
+            shrinkca.gf2field, "_shortest_recurrence", lambda bits: (mask, mask.bit_length() - 1)
+        )
+        code, out, err = run_cli(capsys, "linearize", "--l1", "3", "--p2", cf.R2B_POLY)
+        assert (code, out) == (3, "")
+        assert err == "shrinkca: internal error: shortest recurrence is not a minimal polynomial\n"
 
     def test_automaton_count_invariant_exits_three(self, capsys, monkeypatch):
         # An irreducible base has one or two automata; a search that found

@@ -225,6 +225,71 @@ class TestLeapGeneratorEquivalence:
                       (r + 2) * 4096 - 1, (r + 2) * 4096, top):
                 assert reg.sequence(n) == literal[:n]
 
+    @pytest.mark.parametrize(
+        "poly",
+        [cf.first_primitive(r).to_bitstring() for r in (1, 2, 5, 9, 12)]
+        # irreducible of order 5, (1+x)**4, x**3, x**8, a factor x, a factor x**2
+        + ["11111", "10001", "0001", "000000001", "0101", "0011001"],
+    )
+    def test_register_around_one_cycle(self, poly):
+        # A register is stepped for at most 2**r + 2r bits, which hold its
+        # first cycle, and that cycle is repeated: counts on and one off that
+        # edge and several cycles long, from three seeds.
+        p = Gf2Poly.parse(poly)
+        r, rng = p.degree, random.Random(poly)
+        edge = (1 << r) + 2 * r
+        top = 5 * edge + rng.randrange(1, 7)
+        for seed in ([1] + [0] * (r - 1), [rng.randrange(2) for _ in range(r)], [0] * r):
+            reg = Lfsr(p, seed)
+            literal = bytes(cf.literal_lfsr(reg, top))
+            bits, t = reg._cycle(edge)
+            assert t and bits == literal[: r + t]
+            assert literal[r + t :] == literal[r : top - t]
+            for n in (edge - 1, edge, edge + 1, 3 * edge + 1, top):
+                assert reg.sequence(n) == literal[:n]
+
+    @pytest.mark.parametrize(
+        "p1,t,w,l2",
+        [
+            (cf.first_primitive(l1).to_bitstring(), (1 << l1) - 1, 1 << (l1 - 1), l2)
+            for l1, l2 in ((1, 4), (2, 3), (3, 4), (3, 5), (4, 5), (5, 4), (6, 5), (9, 5))
+        ]
+        + [("1001", 3, 1, 4), ("11111", 5, 2, 3)],
+    )
+    def test_keystream_around_the_route_edges(self, p1, t, w, l2):
+        # Seeded 10...0, the control has a head of one 1 and then a cycle of
+        # t bits with w ones.  Counts that need q = 1 or 2 cycles, and
+        # q = w + 1, w, w - 1, ending on and one past a cycle: both sides of
+        # the edge between the translate and the slices.
+        rng = random.Random(p1)
+        control = cf.make_lfsr(p1, "1".ljust(len(p1) - 1, "0"))
+        r = control.length
+        assert sum(cf.literal_lfsr(control, r + t)[r:]) == w
+        gen = ShrinkingGenerator(
+            control, Lfsr(cf.first_primitive(l2), cf.random_nonzero_seed(rng, l2))
+        )
+        qs = {1, 2} | ({w - 1, w, w + 1} - {0} if w <= 32 else set())
+        expected = bytes(cf.brute_shrunken(gen, 1 + max(qs) * w))
+        for q in sorted(qs):
+            for n in (1 + (q - 1) * w + 1, 1 + q * w):
+                assert gen.shrunken_sequence(n) == expected[:n]
+
+    def test_keystream_from_a_long_control_prefix(self):
+        # A degree-20 control cycles every 2**20 - 1 bits; a short count is
+        # read from a prefix of it.
+        rng = random.Random(0x20)
+        p1, p2 = cf.first_primitive(20), cf.first_primitive(3)
+        for _ in range(4):
+            gen = ShrinkingGenerator(
+                Lfsr(p1, cf.random_nonzero_seed(rng, 20)),
+                Lfsr(p2, cf.random_nonzero_seed(rng, 3)),
+            )
+            control, data = cf.literal_lfsr(gen.r1, 1000), cf.literal_lfsr(gen.r2, 1000)
+            kept = bytes(d for c, d in zip(control, data) if c)
+            assert len(kept) >= 100
+            for n in (1, rng.randrange(2, 100), 100):
+                assert gen.shrunken_sequence(n) == kept[:n]
+
     def test_keystream_random_registers(self):
         # Random registers, and controls with few or no ones: r = 1, (1+x)^5,
         # a factor x, irreducible but not primitive, sparse 1+x^6 and
