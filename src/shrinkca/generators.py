@@ -83,14 +83,15 @@ class Lfsr:
         return self.charpoly.degree
 
     def sequence(self, n: int) -> bytes:
-        """First n output bits as 0/1 bytes: the first r bits, then the
-        register's cycle repeated (`_cycle`), cut to n bits."""
+        """First n output bits as 0/1 bytes.  Up to 2**r + 2r bits they are
+        stepped; beyond, the first r bits, then the register's cycle
+        repeated (`_cycle`), cut to n bits."""
         if n < 0:
             raise ValueError("count must be nonnegative")
-        bits, t = self._cycle(n)
-        if not t:
-            return bits
         r = self.length
+        if n <= (1 << r) + 2 * r:
+            return self._steps(n)
+        bits, t = self._cycle(n)
         return (bits[:r] + bits[r:] * -(-(n - r) // t))[:n]
 
     def _cycle(self, limit: int) -> tuple[bytes, int]:
@@ -102,15 +103,19 @@ class Lfsr:
         follows the invertible Q, so it is purely periodic: the state at
         time r (bits r..2r-1) is on the cycle, and bytes.find finds its
         first recurrence.  A cycle has at most 2**r states, so no more than
-        2**r + 2r bits are stepped.
-
-        Stepping: P(x)**B = P(x**B) for B = 2**k, so once r blocks of B
-        bits exist, the next block is the XOR of the blocks lag back, over
-        the lags of P.  The r seed bits are the first blocks; every r new
-        blocks, pairs merge into blocks twice as long, up to _LEAP_MAX
-        bits."""
+        2**r + 2r bits are stepped."""
         r = self.length
-        n = min(limit, (1 << r) + 2 * r)
+        bits = self._steps(min(limit, (1 << r) + 2 * r))
+        end = bits.find(bits[r : 2 * r], r + 1) if len(bits) >= 2 * r else -1
+        return (bits, 0) if end < 0 else (bits[:end], end - r)
+
+    def _steps(self, n: int) -> bytes:
+        """First n output bits, stepped by block leaps: P(x)**B = P(x**B)
+        for B = 2**k, so once r blocks of B bits exist, the next block is
+        the XOR of the blocks lag back, over the lags of P.  The r seed
+        bits are the first blocks; every r new blocks, pairs merge into
+        blocks twice as long, up to _LEAP_MAX bits."""
+        r = self.length
         blocks, size = list(self.state), 1
         while len(blocks) * size < n:
             if len(blocks) == 2 * r and size < _LEAP_MAX:
@@ -121,9 +126,7 @@ class Lfsr:
                 new ^= blocks[-lag]
             blocks.append(new)
         digits = "".join(format(block, f"0{size}b") for block in blocks)
-        bits = _from_digits(digits[:n])
-        end = bits.find(bits[r : 2 * r], r + 1) if n >= 2 * r else -1
-        return (bits, 0) if end < 0 else (bits[:end], end - r)
+        return _from_digits(digits[:n])
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -154,11 +157,12 @@ class ShrinkingGenerator:
         of T bits with w ones at pos_0 < ... < pos_(w-1) (`Lfsr._cycle`), so
         kept bit h + i*w + k is data bit r1 + i*T + pos_k: column k of the
         keystream in rows of w is a slice of the data stream at stride T.
-        When q > 1 cycles are needed and w <= q, the keystream is those w
-        slices.  Otherwise, and for a control whose cycle does not close
-        within the bits its first n ones need, each pair of register bits
-        becomes one byte 2*control + data, and one translate deletes the
-        bytes 0 and 1 (control 0) and maps 2 and 3 to the data bit."""
+        With q the cycles needed, the keystream is those w slices of q bits
+        when w <= q.  For w > q, where w short slices cost more, and for a
+        control whose cycle does not close within the bits its first n ones
+        need, each pair of register bits becomes one byte 2*control + data,
+        and one translate deletes the bytes 0 and 1 (control 0) and maps 2
+        and 3 to the data bit."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):
@@ -178,7 +182,7 @@ class ShrinkingGenerator:
             if h < n and not w:
                 raise ValueError("control register ran out of ones")
             q = -(-(n - h) // w) if h < n else 0
-            if 1 < q and w <= q:
+            if w <= q:
                 data = self.r2.sequence(r + q * t)
                 out = bytearray(h + q * w)
                 out[:h] = _kept(head, data[:r])
