@@ -10,12 +10,13 @@ coefficients j < r of P.  The seed is the first r emitted bits, so
 (1,0,0) starts the stream 1,0,0,...  (The reciprocal-polynomial
 convention, where taps read from the other end, is not used.)
 
-A register is stepped for at most one cycle: its first r bits, then a
-cycle of T <= 2**r bits that repeats, so any stream costs at most
-2**r + 2r stepped bits.  The shrunken keystream is built from those
-cycles by decimation (Coppersmith, Krawczyk and Mansour): read in rows
-of w, w the ones of a control cycle, its columns are the data stream
-decimated at stride T, which is 2**L1 - 1 for a primitive control.
+A register is stepped, in leaps whose blocks double (P(x)**2 = P(x**2)),
+for at most one cycle: its first r bits, then a cycle of T <= 2**r bits
+that repeats, so any stream costs at most 2**r + 2r stepped bits.  The
+shrunken keystream is built from those cycles by decimation (Coppersmith,
+Krawczyk and Mansour): read in rows of w, w the ones of a control cycle,
+its columns are the data stream decimated at stride T, which is
+2**L1 - 1 for a primitive control.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "sequence_period",
 ]
 
-_LEAP_MAX = 4096  # largest block of bits one leap step generates
 # Pair bytes 2*control + data: the kept ones, 2 and 3, become data bits.
 _KEPT = bytes.maketrans(b"\2\3", b"\0\1")
 
@@ -106,7 +106,7 @@ class Lfsr:
         2**r + 2r bits are stepped."""
         r = self.length
         bits = self._steps(min(limit, (1 << r) + 2 * r))
-        end = bits.find(bits[r : 2 * r], r + 1) if len(bits) >= 2 * r else -1
+        end = bits.find(bits[r : 2 * r], r + 1)
         return (bits, 0) if end < 0 else (bits[:end], end - r)
 
     def _steps(self, n: int) -> bytes:
@@ -114,11 +114,11 @@ class Lfsr:
         for B = 2**k, so once r blocks of B bits exist, the next block is
         the XOR of the blocks lag back, over the lags of P.  The r seed
         bits are the first blocks; every r new blocks, pairs merge into
-        blocks twice as long, up to _LEAP_MAX bits."""
+        blocks twice as long, up to the end of the stream."""
         r = self.length
         blocks, size = list(self.state), 1
         while len(blocks) * size < n:
-            if len(blocks) == 2 * r and size < _LEAP_MAX:
+            if len(blocks) == 2 * r:
                 blocks = [(hi << size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
                 size *= 2
             new = 0

@@ -212,18 +212,17 @@ class TestLeapGeneratorEquivalence:
                 assert reg.sequence(n) == bytes(cf.literal_lfsr(reg, n))
 
     def test_register_past_largest_block(self):
-        # Long enough that blocks reach 4096 bits, which happens at r * 4096
-        # bits: lengths on and one off that edge, on and off later block
-        # edges, and one off the block grid.
+        # Blocks double to 2**k bits at r * 2**k stepped bits, with no upper
+        # bound: lengths on and one off that grid for k = 12..16, and one off
+        # it, both stepped and through the cycle (for small r).
         rng = random.Random(0xB10C)
         for r in range(1, 21):
             poly = Gf2Poly(rng.randrange(1 << r, 1 << (r + 1)))
             reg = Lfsr(poly, cf.random_nonzero_seed(rng, r))
-            top = (r + 2) * 4096 + rng.randrange(1, 4096)
-            literal = bytes(cf.literal_lfsr(reg, top))
-            for n in (4096, r * 4096 - 1, r * 4096, r * 4096 + 1, (r + 1) * 4096,
-                      (r + 2) * 4096 - 1, (r + 2) * 4096, top):
-                assert reg.sequence(n) == literal[:n]
+            literal = bytes(cf.literal_lfsr(reg, (r << 16) + 1))
+            off = rng.randrange((r << 15) + 2, r << 16)
+            for n in [off] + [(r << k) + d for k in range(12, 17) for d in (-1, 0, 1)]:
+                assert reg._steps(n) == reg.sequence(n) == literal[:n]
 
     @pytest.mark.parametrize(
         "poly",
@@ -289,6 +288,44 @@ class TestLeapGeneratorEquivalence:
             assert len(kept) >= 100
             for n in (1, rng.randrange(2, 100), 100):
                 assert gen.shrunken_sequence(n) == kept[:n]
+
+    def test_keystream_from_a_doubled_degree_41_prefix(self):
+        # 1 + x^3 + x^41 seeded 10...0 has few ones early: the first prefix
+        # of 2n + 2r + 2 bits holds fewer than n of them, so the prefix
+        # doubles once or twice before its ones suffice.
+        p1, s1, p2, s2 = "1001" + "0" * 37 + "1", "1" + "0" * 40, "11001", "1000"
+        gen = ShrinkingGenerator(cf.make_lfsr(p1, s1), cf.make_lfsr(p2, s2))
+        control, data = cf.literal_lfsr(gen.r1, 4000), cf.literal_lfsr(gen.r2, 4000)
+        kept = bytes(d for c, d in zip(control, data) if c)
+        assert len(kept) >= 1000
+        for n in (10, 100, 1000):
+            assert gen.shrunken_sequence(n) == kept[:n]
+
+    def test_cycle_search_ends_at_the_first_recurrence(self):
+        # Degree-41 controls whose cycles close within 3r bits: the search
+        # must stop there, not step toward its 2**41 + 82 bit bound.
+        # A child interpreter runs them, so a search that does not stop
+        # fails on its timeout instead of hanging the suite.
+        one_per_cycle, ran_out = "1" + "0" * 40 + "1", "0" * 41 + "1"
+        p2, s2, seed = "11001", "1000", "1" + "0" * 40
+        code = (
+            "from shrinkca import Gf2Poly, Lfsr, ShrinkingGenerator, format_bits, parse_bits\n"
+            "def make_lfsr(poly, seed):\n"
+            "    return Lfsr(Gf2Poly.parse(poly), parse_bits(seed))\n"
+            f"data = make_lfsr({p2!r}, {s2!r})\n"
+            f"gen = ShrinkingGenerator(make_lfsr({one_per_cycle!r}, {seed!r}), data)\n"
+            "print(format_bits(gen.shrunken_sequence(1000)))\n"
+            f"gen = ShrinkingGenerator(make_lfsr({ran_out!r}, {seed!r}), data)\n"
+            "try:\n"
+            "    gen.shrunken_sequence(10)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = cf.bare_python(code, timeout=10).splitlines()
+        control = cf.literal_lfsr(cf.make_lfsr(one_per_cycle, seed), 41 * 1000)
+        data = cf.literal_lfsr(cf.make_lfsr(p2, s2), 41 * 1000)
+        kept = "".join(str(d) for c, d in zip(control, data) if c)
+        assert out == [kept, "control register ran out of ones"]
 
     def test_keystream_random_registers(self):
         # Random registers, and controls with few or no ones: r = 1, (1+x)^5,
