@@ -2,11 +2,11 @@
 
 Bit streams follow the codec in `gf2poly`: `Lfsr.sequence`,
 `ShrinkingGenerator.shrunken_sequence` and `parse_bits` return 0/1
-bytes, index 0 first emitted, which the attack pipeline reads without
-unpacking, and `format_bits` prints any 0/1 sequence.  A register's
-characteristic polynomial annihilates its stream: with P of degree r,
-every output bit satisfies a_n = sum of a_(n-r+j) over the set
-coefficients j < r of P.  The seed is the first r emitted bits, so
+bytes, index 0 first emitted, and a run of them is packed as one
+big-endian int of those bytes; `format_bits` prints any 0/1 sequence.
+A register's characteristic polynomial annihilates its stream: with P
+of degree r, every output bit satisfies a_n = sum of a_(n-r+j) over the
+set coefficients j < r of P.  The seed is the first r emitted bits, so
 (1,0,0) starts the stream 1,0,0,...  (The reciprocal-polynomial
 convention, where taps read from the other end, is not used.)
 
@@ -16,7 +16,8 @@ that repeats, so any stream costs at most 2**r + 2r stepped bits.  The
 shrunken keystream is built from those cycles by decimation (Coppersmith,
 Krawczyk and Mansour): read in rows of w, w the ones of a control cycle,
 its columns are the data stream decimated at stride T, which is
-2**L1 - 1 for a primitive control.
+2**L1 - 1 for a primitive control.  A request for n kept bits is refused
+before any register is clocked past 4n + MAX_WINDOW_BITS bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .gf2poly import Gf2Poly, _bit_bytes, _bit_digits, _from_digits, _read_bits
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _read_bits
 
 __all__ = [
     "Lfsr",
@@ -42,6 +43,14 @@ def _kept(control: bytes, data: bytes) -> bytes:
     """The data bits where the equally long control stream holds a 1."""
     pairs = (int.from_bytes(control, "big") << 1) | int.from_bytes(data, "big")
     return pairs.to_bytes(len(control), "big").translate(_KEPT, b"\0\1")
+
+
+def _clocked(bits: int, n: int) -> int:
+    """`bits`, the register bits a request for n kept bits clocks, if they
+    are within 4n + MAX_WINDOW_BITS; a sparse control can need more."""
+    if bits > (limit := 4 * n + MAX_WINDOW_BITS):
+        raise ValueError(f"{n} kept bits would clock {bits} register bits, over {limit}")
+    return bits
 
 
 def parse_bits(text: str) -> bytes:
@@ -114,19 +123,19 @@ class Lfsr:
         for B = 2**k, so once r blocks of B bits exist, the next block is
         the XOR of the blocks lag back, over the lags of P.  The r seed
         bits are the first blocks; every r new blocks, pairs merge into
-        blocks twice as long, up to the end of the stream."""
+        blocks twice as long, up to the end of the stream.  A block of B
+        bits is its B output bytes read as one big-endian int."""
         r = self.length
         blocks, size = list(self.state), 1
         while len(blocks) * size < n:
             if len(blocks) == 2 * r:
-                blocks = [(hi << size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
+                blocks = [(hi << 8 * size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
                 size *= 2
             new = 0
             for lag in self._lags:
                 new ^= blocks[-lag]
             blocks.append(new)
-        digits = "".join(format(block, f"0{size}b") for block in blocks)
-        return _from_digits(digits[:n])
+        return b"".join(block.to_bytes(size, "big") for block in blocks)[:n]
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -172,16 +181,17 @@ class ShrinkingGenerator:
         # mostly hold n ones; the doubling ends by 2**r + 2r bits at most,
         # where every cycle has closed.
         m = 2 * n + 2 * r + 2
-        control, t = self.r1._cycle(m)
+        control, t = self.r1._cycle(_clocked(m, n))
         while not t and control.count(1) < n:
             m *= 2
-            control, t = self.r1._cycle(m)
+            control, t = self.r1._cycle(_clocked(m, n))
         if t:
             head, cycle = control[:r], control[r:]
             h, w = head.count(1), cycle.count(1)
             if h < n and not w:
                 raise ValueError("control register ran out of ones")
             q = -(-(n - h) // w) if h < n else 0
+            _clocked(r + q * t, n)  # the data bits either route steps
             if w <= q:
                 data = self.r2.sequence(r + q * t)
                 out = bytearray(h + q * w)

@@ -87,6 +87,21 @@ class TestStreams:
         kept = "".join(str(d) for c, d in zip(control, data) if c)
         assert len(kept) >= 10 and proc.stdout == kept[:10] + "\n"
 
+    def test_shrink_refuses_a_sparse_control_before_clocking(self):
+        # 1 + x^1001 seeded 10...0 keeps one data bit per 1001: 400,000 kept
+        # bits would clock 400,400,000 data bits, past 4n + 2**22.  Stepped,
+        # they run out of memory under this cap; refused, nothing is stepped.
+        p1, s1 = "1" + "0" * 1000 + "1", "1" + "0" * 1000
+        proc = run_child(
+            "shrink", "--p1", p1, "--s1", s1, "--p2", "11001", "--s2", "1000",
+            "--count", "400000", address_space=512 << 20, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "shrinkca: error: 400000 kept bits would clock 400400000 register bits,"
+            " over 5794304\n"
+        )
+
 
 class TestCa:
     def test_run_golden_rows(self, capsys):

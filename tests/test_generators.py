@@ -5,6 +5,7 @@ import pytest
 
 import conftest as cf
 from shrinkca import (
+    MAX_WINDOW_BITS,
     Gf2Poly,
     Lfsr,
     ShrinkingGenerator,
@@ -300,6 +301,35 @@ class TestLeapGeneratorEquivalence:
         assert len(kept) >= 1000
         for n in (10, 100, 1000):
             assert gen.shrunken_sequence(n) == kept[:n]
+
+    @pytest.mark.parametrize("l1,l2", [(1, 2), (2, 3), (9, 2), (21, 2)])
+    def test_primitive_control_at_the_window_bound(self, l1, l2):
+        # A primitive control clocks fewer than 2n + 2**L1 + L1 data bits,
+        # far below the bound 4n + MAX_WINDOW_BITS, so n = 2**22 runs.  The
+        # keystream repeats every (2**L2 - 1) * 2**(L1 - 1) < n bits and
+        # starts with the literally filtered register pairs.
+        n, period = MAX_WINDOW_BITS, ((1 << l2) - 1) << (l1 - 1)
+        rng = random.Random(l1)
+        gen = ShrinkingGenerator(
+            Lfsr(cf.first_primitive(l1), cf.random_nonzero_seed(rng, l1)),
+            Lfsr(cf.first_primitive(l2), cf.random_nonzero_seed(rng, l2)),
+        )
+        out = gen.shrunken_sequence(n)
+        control, data = cf.literal_lfsr(gen.r1, 8000), cf.literal_lfsr(gen.r2, 8000)
+        kept = bytes(d for c, d in zip(control, data) if c)
+        assert len(out) == n and out.startswith(kept) and out[period:] == out[:-period]
+
+    def test_sparse_control_refused_past_the_clocking_bound(self):
+        # 1 + x^5 seeded 10000 keeps data bits 0, 5, 10, ...: n kept bits
+        # clock 5n data bits, which is the bound 4n + 2**22 at n = 2**22
+        # and one bit over it at n = 2**22 + 1.
+        gen = ShrinkingGenerator(cf.make_lfsr("100001", "10000"), cf.make_lfsr("11001", "1000"))
+        n = MAX_WINDOW_BITS
+        kept = bytes(cf.literal_lfsr(gen.r2, 11)[::5])  # data period 15: 3 kept bits
+        assert gen.shrunken_sequence(n) == (kept * (n // 3 + 1))[:n]
+        msg = f"{n + 1} kept bits would clock {5 * n + 5} register bits, over {5 * n + 4}$"
+        with pytest.raises(ValueError, match=msg):
+            gen.shrunken_sequence(n + 1)
 
     def test_cycle_search_ends_at_the_first_recurrence(self):
         # Degree-41 controls whose cycles close within 3r bits: the search
