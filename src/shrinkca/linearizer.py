@@ -3,7 +3,8 @@
 Pipeline: the control length L1 and data polynomial P2 determine the
 minimal polynomial P of alpha^(2^L1 - 1); a pair of 90/150 automata with
 characteristic polynomial P is synthesized by a pure depth-first
-recursion over the continuants of every rule vector, in wire order; the
+recursion over the continuants of the rule vectors, in wire order, that
+stops at the first vector and takes its mirror image as the second; the
 doubling construction (flip the last rule, append the mirror image) is
 applied L1 - 1 times, squaring the characteristic polynomial each time.
 The control polynomial itself is never consulted, so all generators
@@ -32,9 +33,10 @@ MAX_CELLS = 1 << 16
 fit of one costs O(L^2) bit operations, about a second at this limit."""
 
 _MAX_SEARCH_DEGREE = 22
-"""Highest base degree `synthesize_ca_pair` searches: the walk takes
-2^degree steps (0.2 s at degree 20 and 0.9 s at 22 on a 2-vCPU Xeon),
-and the attack window already caps the data register at degree 21."""
+"""Highest base degree `synthesize_ca_pair` searches: the walk takes at
+most 2^degree steps, about a third of that on average (the whole tree
+takes about 1.2 s at degree 22 on a 2-vCPU Xeon), and the attack window
+already caps the data register at degree 21."""
 
 
 class LinearizationResult(NamedTuple):
@@ -84,45 +86,41 @@ def _check_search_degree(degree: int) -> None:
         )
 
 
-def _walk(target: int, last: int, prev: int, cur: int, mask: int, bit: int):
-    """Masks under the node (P_(k-1), P_k) = (prev, cur), d_1..d_k in `mask`,
-    `bit` = 1 << k, whose continuant at bit `last` is target: the d = 0
-    child before the d = 1 child, so in wire order."""
+def _first_mask(target: int, last: int, prev: int, cur: int, mask: int, bit: int):
+    """First mask in wire order under the node (P_(k-1), P_k) = (prev, cur),
+    d_1..d_k in `mask`, `bit` = 1 << k, whose continuant at bit `last` is
+    target, or None: the d = 0 child before the d = 1 child, and the walk
+    stops at its first match."""
     up = (cur << 1) ^ prev  # x * P_k + P_(k-1); d_(k+1) = 1 adds P_k
     if bit == last:
-        return (mask,) if target == up else (mask | bit,) if target == up ^ cur else ()
-    return _walk(target, last, cur, up, mask, bit << 1) + _walk(
-        target, last, cur, up ^ cur, mask | bit, bit << 1
-    )
-
-
-def _rule_masks(target: int, r: int) -> tuple[int, ...]:
-    """Masks of r >= 1 rules (bit i-1 is d_i) whose continuant P_r is target,
-    in wire order: shared prefixes are stepped once and the last rule is
-    solved, about 2^r steps in O(r) memory."""
-    return _walk(target, 1 << (r - 1), 0, 1, 0, 1)
+        return mask if target == up else mask | bit if target == up ^ cur else None
+    found = _first_mask(target, last, cur, up, mask, bit << 1)
+    if found is None:
+        found = _first_mask(target, last, cur, up ^ cur, mask | bit, bit << 1)
+    return found
 
 
 def synthesize_ca_pair(p: Gf2Poly) -> tuple[RuleVector, ...]:
     """All rule vectors of length degree(p) with characteristic polynomial p.
 
-    p must be irreducible.  Exhaustive: a depth-first walk over the
-    continuants of all 2^degree candidates, so a degree over 22 is refused
-    before it.  The walk keeps no state outside the call and yields the
-    vectors in wire order by construction: normally two mutually reversed
-    vectors, collapsing to one for degree 1.
+    p must be irreducible.  Such a p has one vector and its mirror image
+    (Cattell and Muzio, IEEE TCAD 15(3), 1996), and a continuant is the
+    same read backwards, so a depth-first walk over the continuants, in
+    wire order, stops at the first vector and mirrors it: two vectors in
+    wire order, collapsing to one for degree 1.  The walk takes at most
+    2^degree steps, about a third of that on average, so a degree over 22
+    is refused before it.
     """
     _check_search_degree(p.degree)
     if not is_irreducible(p):
         raise ValueError(f"{p} is reducible; no irreducible-power automaton exists")
     r = p.degree
-    found = tuple(RuleVector._from_mask(m, r) for m in _rule_masks(p.bits, r))
-    if not 1 <= len(found) <= 2:
-        raise RuntimeError(
-            f"expected one or two automata for {p}, found {len(found)}: "
-            + ", ".join(str(v) for v in found)
-        )
-    return found
+    mask = _first_mask(p.bits, 1 << (r - 1), 0, 1, 0, 1)
+    if mask is None:
+        raise RuntimeError(f"the walk found no automaton for the irreducible {p}")
+    first = RuleVector._from_mask(mask, r)
+    second = first.mirror()
+    return (first,) if second == first else (first, second)
 
 
 def linearize_shrinking_generator(l1: int, p2: Gf2Poly) -> LinearizationResult:

@@ -12,7 +12,8 @@ binomial-trace solutions of a recurrence, initial-state fits by
 Gaussian elimination over every cell's observation equations and by a
 sweep of whole-window columns across the cells, doubling on per-cell
 tuples, and automaton synthesis by stepping the continuant recurrence
-afresh for every rule vector.  Tests compare the production code
+afresh for every rule vector and by a walk over the whole rule tree
+that collects every match.  Tests compare the production code
 against these slower routes.
 """
 
@@ -65,6 +66,12 @@ BASE5 = "101001"  # 1 + x^2 + x^5
 PAIR5 = ("01111", "11110")
 PAIR5_DOUBLED = ("0111001110", "1111111111")
 PAIR20 = ("01110011111111001110", "11111111100111111111")
+
+# 1 + x + x^3 + x^4 + x^5 + x^13 + x^14 + x^21 + x^22, primitive: its first
+# rule vector in wire order lies at 0.938 of the 2^22-mask tree, the latest
+# of 100 primitives drawn by random.Random(22), so the synthesis walk steps
+# nearly the whole tree at the top of the search degree.
+LATE_PRIMITIVE_22 = "11011100000001100000011"
 
 ORBIT_RULES = "0111001110"
 ORBIT_ROWS = [
@@ -223,6 +230,26 @@ def exhaustive_rule_masks(target: int, r: int) -> list[int]:
     `target`, each of the 2^r masks stepped through all r continuants
     on its own (cached per r, so one pass serves every target)."""
     return [m for m, bits in enumerate(char_poly_of_every_mask(r)) if bits == target]
+
+
+def _walk(target: int, last: int, prev: int, cur: int, mask: int, bit: int):
+    """Masks under the node (P_(k-1), P_k) = (prev, cur), d_1..d_k in `mask`,
+    `bit` = 1 << k, whose continuant at bit `last` is target: the d = 0
+    child before the d = 1 child, so in wire order."""
+    up = (cur << 1) ^ prev  # x * P_k + P_(k-1); d_(k+1) = 1 adds P_k
+    if bit == last:
+        return (mask,) if target == up else (mask | bit,) if target == up ^ cur else ()
+    return _walk(target, last, cur, up, mask, bit << 1) + _walk(
+        target, last, cur, up ^ cur, mask | bit, bit << 1
+    )
+
+
+def walk_rule_masks(target: int, r: int) -> tuple[int, ...]:
+    """Every mask of r >= 1 rules (bit i-1 is d_i) whose continuant P_r is
+    target, reducible targets included, in wire order: a depth-first walk
+    over the whole tree of 2^r masks that steps shared prefixes once and
+    solves the last rule."""
+    return _walk(target, 1 << (r - 1), 0, 1, 0, 1)
 
 
 def elimination_fit(rules: RuleVector, target) -> tuple[int, int] | None:

@@ -388,16 +388,15 @@ class TestUsage:
         assert err == "shrinkca: internal error: shortest recurrence is not a minimal polynomial\n"
 
     def test_automaton_count_invariant_exits_three(self, capsys, monkeypatch):
-        # An irreducible base has one or two automata; a search that found
-        # three is an internal error, reported by the synthesis itself.
+        # An irreducible base has a pair of automata; a walk that found none
+        # is an internal error, reported by the synthesis itself.
         import shrinkca.linearizer
 
-        monkeypatch.setattr(shrinkca.linearizer, "_rule_masks", lambda target, r: (0, 1, 2))
+        monkeypatch.setattr(shrinkca.linearizer, "_first_mask", lambda *node: None)
         code, out, err = run_cli(capsys, "linearize", "--l1", "3", "--p2", cf.R2B_POLY)
         assert (code, out) == (3, "")
         assert err == (
-            f"shrinkca: internal error: expected one or two automata for {cf.BASE5},"
-            " found 3: 00000, 10000, 01000\n"
+            f"shrinkca: internal error: the walk found no automaton for the irreducible {cf.BASE5}\n"
         )
 
     def test_out_of_memory_exits_two_without_traceback(self, capsys, monkeypatch):
@@ -434,9 +433,10 @@ class TestUsage:
         )
 
     def test_linearize_at_the_search_degree(self):
-        # The top of the bound, searched for real (about 1 s), in a child so
-        # that a slower search times out instead of stalling the suite.
-        p2 = cf.first_primitive(22)
+        # The top of the bound, searched for real over nearly the whole rule
+        # tree (about 1 s), in a child so that a slower search times out
+        # instead of stalling the suite.
+        p2 = Gf2Poly.parse(cf.LATE_PRIMITIVE_22)
         start = time.perf_counter()
         proc = run_child("linearize", "--l1", "1", "--p2", p2.to_bitstring(), timeout=30)
         assert time.perf_counter() - start < 10.0

@@ -65,6 +65,10 @@ class TestConcatDouble:
                 assert (str(packed), len(packed)) == (str(oracle), len(oracle))
 
 
+def in_wire_order(masks, r):
+    return sorted(masks, key=lambda m: str(RuleVector._from_mask(m, r)))
+
+
 class TestSynthesize:
     def test_golden_degree5(self):
         pair = synthesize_ca_pair(Gf2Poly.parse(cf.BASE5))
@@ -98,24 +102,27 @@ class TestSynthesize:
                     assert len(pair) == 2
                     assert pair[0].mirror() == pair[1]
 
-    def test_walk_matches_the_exhaustive_search(self):
-        # The walk on every polynomial of degree 1-9, reducible ones with
-        # no solution or more than two included; synthesize_ca_pair on every
-        # irreducible polynomial of degree 10-12 and a seeded sample at 13-15.
-        # Both give the oracle's masks in wire order, with no sort of their own.
-        def in_wire_order(masks, r):
-            return sorted(masks, key=lambda m: str(RuleVector._from_mask(m, r)))
-
+    def test_oracle_walk_matches_the_exhaustive_search(self):
+        # The oracle walk on every polynomial of degree 1-9, reducible ones
+        # with no solution or more than two included, gives the per-mask
+        # search's masks in wire order; the early-stopping walk gives the
+        # first of them, or None when there is none.
         counts = set()
         for r in range(1, 10):
             for target in range(1 << r, 1 << (r + 1)):
-                walked = list(shrinkca.linearizer._rule_masks(target, r))
-                oracle = in_wire_order(cf.exhaustive_rule_masks(target, r), r)
-                assert walked == oracle, (r, target)
+                walked = list(cf.walk_rule_masks(target, r))
+                assert walked == in_wire_order(cf.exhaustive_rule_masks(target, r), r), (r, target)
+                first = shrinkca.linearizer._first_mask(target, 1 << (r - 1), 0, 1, 0, 1)
+                assert first == (walked[0] if walked else None), (r, target)
                 counts.add(len(walked))
         assert 0 in counts and max(counts) > 2
+
+    def test_walk_matches_the_exhaustive_search(self):
+        # synthesize_ca_pair on every irreducible polynomial of degree 1-12
+        # and eight seeded ones at each degree 13-18 gives both oracles' masks, in wire
+        # order, with no sort of its own.
         rng = random.Random(34)
-        for r in range(10, 16):
+        for r in range(1, 19):
             if r <= 12:
                 polys = [p for p in map(Gf2Poly, range(1 << r, 2 << r)) if is_irreducible(p)]
             else:
@@ -126,7 +133,20 @@ class TestSynthesize:
                         polys.append(p)
             for p in polys:
                 found = [v.mask150 for v in synthesize_ca_pair(p)]
+                assert found == list(cf.walk_rule_masks(p.bits, r)), str(p)
                 assert found == in_wire_order(cf.exhaustive_rule_masks(p.bits, r), r), str(p)
+
+    def test_irreducible_bases_have_one_mirror_pair(self):
+        # What lets the walk stop at its first match: every irreducible base
+        # of degree 2-12 has exactly two rule vectors, each the other's
+        # mirror image, and a degree-1 base has one.
+        for r in range(1, 13):
+            for p in map(Gf2Poly, range(1 << r, 2 << r)):
+                if not is_irreducible(p):
+                    continue
+                found = {RuleVector._from_mask(m, r) for m in cf.walk_rule_masks(p.bits, r)}
+                v = min(found, key=str)
+                assert found == {v, v.mirror()} and len(found) == min(r, 2), str(p)
 
     def test_walk_holds_no_frontier(self):
         # Depth first, the walk keeps only the current path: a breadth-first
