@@ -14,13 +14,14 @@ synthesized.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .automata import RuleVector, fit_initial_state
+from .automata import fit_initial_state
 from .generators import ShrinkingGenerator, format_bits
 from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _annihilates, _bit_bytes, _mask
 from .gf2poly import _shortest_recurrence, _text, is_primitive
-from .linearizer import LinearizationResult, linearize_shrinking_generator
+from .linearizer import linearize_shrinking_generator
 
 __all__ = [
     "BmResult",
@@ -31,11 +32,10 @@ __all__ = [
     "verify_linearization",
 ]
 
-class BmResult(NamedTuple):
-    """Minimal annihilating polynomial of a window and its degree."""
-
-    connection_poly: Gf2Poly
-    linear_complexity: int
+class BmResult(namedtuple("BmResult", """connection_poly
+        linear_complexity""")):
+    """A window's minimal annihilating polynomial (Gf2Poly) and its degree (int)."""
+    __slots__ = ()
 
 
 def berlekamp_massey(seq: Sequence[int]) -> BmResult:
@@ -70,22 +70,24 @@ def lc_bounds(l1: int, l2: int) -> tuple[int, int]:
     return l2 << (l1 - 2), l2 << (l1 - 1)
 
 
-class AttackReport(NamedTuple):
-    """Everything measured while linearizing one shrinking generator."""
-
-    generator: ShrinkingGenerator
-    linearization: LinearizationResult
-    linear_complexity: int
-    lc_bounds: Optional[tuple[int, int]]
-    lc_in_bounds: Optional[bool]
-    measured_multiplicity: Optional[int]
-    factorization_ok: bool
-    matched_rules: Optional[RuleVector]
-    matched_cell: Optional[int]
-    initial_state: Optional[int]
-    window_length: int
-    verified_period: int
-    verdict: bool
+class AttackReport(namedtuple("AttackReport", """generator
+        linearization
+        linear_complexity
+        lc_bounds
+        lc_in_bounds
+        measured_multiplicity
+        factorization_ok
+        matched_rules
+        matched_cell
+        initial_state
+        window_length
+        verified_period
+        verdict""")):
+    """Everything measured while linearizing one shrinking generator: the
+    ShrinkingGenerator, its LinearizationResult, lc_bounds (an int pair),
+    matched_rules (a RuleVector), the bools lc_in_bounds, factorization_ok and
+    verdict, and ints; lc_bounds to initial_state but factorization_ok may be None."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         state, length = self.initial_state, self.linearization.length
@@ -182,7 +184,7 @@ def verify_linearization(gen: ShrinkingGenerator) -> AttackReport:
     bm = berlekamp_massey(window[: 2 * lin.length] if verdict else window)
     lc, base = bm.linear_complexity, lin.base_poly
     try:
-        bounds: Optional[tuple[int, int]] = lc_bounds(l1, l2)
+        bounds: tuple[int, int] | None = lc_bounds(l1, l2)
     except ValueError:  # no bracket for a register of length 1
         bounds = None
     # One bracket (lo, hi] decides both checks; hi is L either way, as

@@ -19,7 +19,7 @@ which `fit_initial_state` checks by chi(E) on the whole target.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask
 from .gf2poly import _read_bits, _reversed_mask, _text
@@ -161,7 +161,7 @@ def ca_char_poly(rules: RuleVector) -> Gf2Poly:
     return Gf2Poly(_continuants(rules)[1])
 
 
-def fit_initial_state(rules: RuleVector, target: Sequence[int]) -> Optional[int]:
+def fit_initial_state(rules: RuleVector, target: Sequence[int]) -> int | None:
     """The initial state whose cell 1 output reproduces `target`, or None.
 
     Cell 1 observes the whole state, so if any cell replays the target,

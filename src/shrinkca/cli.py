@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from itertools import islice
-from typing import Optional, Sequence
 
 from .analysis import MAX_WINDOW_BITS, berlekamp_massey, verify_linearization
 from .automata import RuleVector, _orbit, ca_char_poly, state_from_bits
@@ -190,7 +190,7 @@ def _cmd_attack(args) -> int:
     return 0 if report.verdict else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -22,8 +22,8 @@ before any register is clocked past 4n + MAX_WINDOW_BITS bits.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _read_bits
 
@@ -177,14 +177,13 @@ class ShrinkingGenerator:
         if n and not any(self.r1.state):
             raise ValueError("control register produces no ones")
         r = self.r1.length
-        # A primitive control has 2**(r-1) ones per 2**r - 1 bits, so m bits
-        # mostly hold n ones; the doubling ends by 2**r + 2r bits at most,
-        # where every cycle has closed.
-        m = 2 * n + 2 * r + 2
-        control, t = self.r1._cycle(_clocked(m, n))
-        while not t and control.count(1) < n:
-            m *= 2
-            control, t = self.r1._cycle(_clocked(m, n))
+        # 2n + 2r + 2 bits of a primitive control mostly hold n ones; an open prefix
+        # short of them steps on from its last r bits by its density, to the bound.
+        control, t = self.r1._cycle(_clocked(2 * n + 2 * r + 2, n))
+        while not t and (ones := control.count(1)) < n:
+            size = min(len(control) * n // ones + r, 4 * n + MAX_WINDOW_BITS)
+            more = _clocked(max(size, len(control) + 1), n) - len(control)
+            control += Lfsr(self.r1.charpoly, control[-r:])._steps(r + more)[r:]
         if t:
             head, cycle = control[:r], control[r:]
             h, w = head.count(1), cycle.count(1)

@@ -14,7 +14,7 @@ degree(base) * 2^(L1 - 1) is refused above MAX_CELLS before any doubling.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .automata import RuleVector
 from .gf2field import minimal_polynomial_of_power
@@ -39,21 +39,20 @@ takes about 1.2 s at degree 22 on a 2-vCPU Xeon), and the attack window
 already caps the data register at degree 21."""
 
 
-class LinearizationResult(NamedTuple):
+class LinearizationResult(namedtuple("LinearizationResult", """rules_a
+        rules_b
+        base_poly
+        multiplicity
+        length
+        coset_n
+        degenerate""", defaults=[False])):
     """Pair of rule vectors plus the parameters that produced them.
 
-    Both vectors have characteristic polynomial base_poly**multiplicity
-    and length = degree(base_poly) * multiplicity.  `degenerate` marks
-    the degree-1 case where only one vector exists: `rules_a is rules_b`.
+    Both RuleVectors have characteristic polynomial base_poly**multiplicity (a
+    Gf2Poly, an int) and length degree(base_poly) * multiplicity, an int like
+    coset_n.  The bool `degenerate` marks the degree-1 case: `rules_a is rules_b`.
     """
-
-    rules_a: RuleVector
-    rules_b: RuleVector
-    base_poly: Gf2Poly
-    multiplicity: int
-    length: int
-    coset_n: int
-    degenerate: bool = False
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -289,6 +289,15 @@ class TestVerifyLinearization:
         assert repr(bm).startswith("BmResult(connection_poly=Gf2Poly(")
         assert repr(report).startswith("AttackReport(generator=ShrinkingGenerator(")
         assert repr(report).endswith(", verified_period=60, verdict=True)")
+        assert bm._fields == ("connection_poly", "linear_complexity")
+        assert report._fields == (
+            "generator", "linearization", "linear_complexity", "lc_bounds",
+            "lc_in_bounds", "measured_multiplicity", "factorization_ok",
+            "matched_rules", "matched_cell", "initial_state", "window_length",
+            "verified_period", "verdict",
+        )
+        assert bm._field_defaults == report._field_defaults == {}
+        assert report.linearization._field_defaults == {"degenerate": False}
 
     def test_report_generator_cannot_change_after_the_verdict(self):
         report = verify_linearization(cf.gen_a())

@@ -102,6 +102,33 @@ class TestStreams:
             " over 5794304\n"
         )
 
+    @pytest.mark.parametrize(
+        "p1,s1,p2,s2",
+        [
+            ("1+x^3+x^41", "1" + "0" * 40, "1+x^5+x^23", "1" + "0" * 22),
+            ("1+x^5", "10000", "11001", "1000"),
+        ],
+        ids=["open-control-prefix", "clocking-bound"],
+    )
+    def test_shrink_at_the_worst_accepted_inputs(self, p1, s1, p2, s2):
+        # README's worst accepted `shrink` inputs at the most bits it prints:
+        # a control whose first 2n + 84 bits hold too few ones, and one that
+        # clocks exactly 4n + 2**22 data bits.  A child runs each, so a
+        # slower route times out instead of stalling the suite.
+        n = shrinkca.MAX_WINDOW_BITS
+        start = time.perf_counter()
+        proc = run_child(
+            "shrink", "--p1", p1, "--s1", s1, "--p2", p2, "--s2", s2, "--count", str(n),
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout) == n + 1 and proc.stdout.endswith("\n")
+        control = cf.literal_lfsr(cf.make_lfsr(p1, s1), 6000)
+        data = cf.literal_lfsr(cf.make_lfsr(p2, s2), 6000)
+        kept = "".join(str(d) for c, d in zip(control, data) if c)
+        assert len(kept) >= 1000 and proc.stdout[:1000] == kept[:1000]
+
 
 class TestCa:
     def test_run_golden_rows(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 from math import gcd
 
 import pytest
@@ -292,8 +293,8 @@ class TestLeapGeneratorEquivalence:
 
     def test_keystream_from_a_doubled_degree_41_prefix(self):
         # 1 + x^3 + x^41 seeded 10...0 has few ones early: the first prefix
-        # of 2n + 2r + 2 bits holds fewer than n of them, so the prefix
-        # doubles once or twice before its ones suffice.
+        # of 2n + 2r + 2 bits holds fewer than n of them, so the register
+        # steps on from the prefix's last r bits before its ones suffice.
         p1, s1, p2, s2 = "1001" + "0" * 37 + "1", "1" + "0" * 40, "11001", "1000"
         gen = ShrinkingGenerator(cf.make_lfsr(p1, s1), cf.make_lfsr(p2, s2))
         control, data = cf.literal_lfsr(gen.r1, 4000), cf.literal_lfsr(gen.r2, 4000)
@@ -330,6 +331,32 @@ class TestLeapGeneratorEquivalence:
         msg = f"{n + 1} kept bits would clock {5 * n + 5} register bits, over {5 * n + 4}$"
         with pytest.raises(ValueError, match=msg):
             gen.shrunken_sequence(n + 1)
+
+    def test_open_control_prefix_steps_on_within_the_bound(self):
+        # 1 + x^48 + x^82 seeded 10...0 holds about one one in four bits and
+        # its cycle does not close in its first 2n + 166 bits.  Its 2**20th
+        # one is bit 4,203,524, inside the bound 4n + 2**22 = 8n, which two
+        # doublings of that prefix, to 8n + 664 bits, would pass.
+        gen = ShrinkingGenerator(
+            cf.make_lfsr("1+x^48+x^82", "1" + "0" * 81), cf.make_lfsr("1+x^8+x^19", "1" + "0" * 18)
+        )
+        n = 1 << 20
+        control, data = gen.r1.sequence(8 * n), gen.r2.sequence(8 * n)
+        assert gen.shrunken_sequence(n) == bytes(compress(data, control))[:n]
+
+    def test_open_control_prefix_steps_on_to_the_bound(self):
+        # 1 + x^r seeded 0...01, r = 2**16 + 15, has its ones at bits kr - 1:
+        # two in its first 2n + 2r + 2 bits, where its cycle is still open.
+        # At that density n = 63 ones would take 4,199,296 bits, past the
+        # bound 4n + 2**22 = 4,194,556, yet the 63rd is bit 63r - 1 =
+        # 4,129,712, so the prefix steps on to the bound and no further.
+        # r = 1 mod 15, the data period, so the keystream is the data stream.
+        r = (1 << 16) + 15
+        data = cf.make_lfsr("11001", "1000")
+        gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^{r}"), [0] * (r - 1) + [1]), data)
+        assert gen.shrunken_sequence(63) == data.sequence(63)
+        with pytest.raises(ValueError, match="64 kept bits would clock 4194561 register bits"):
+            gen.shrunken_sequence(64)
 
     def test_cycle_search_ends_at_the_first_recurrence(self):
         # Degree-41 controls whose cycles close within 3r bits: the search

@@ -281,6 +281,11 @@ class TestLinearize:
             result.coset_n = 9
         assert repr(result).startswith("LinearizationResult(rules_a=RuleVector.parse(")
         assert repr(result).endswith(", length=20, coset_n=7, degenerate=False)")
+        assert result._fields == (
+            "rules_a", "rules_b", "base_poly", "multiplicity", "length", "coset_n", "degenerate"
+        )
+        assert result._field_defaults == {"degenerate": False}
+        assert type(result)(*result[:-1]) == result
 
     def test_degenerate_data_length_one(self):
         result = linearize_shrinking_generator(2, Gf2Poly.parse("11"))
