@@ -10,9 +10,10 @@ set coefficients j < r of P.  The seed is the first r emitted bits, so
 (1,0,0) starts the stream 1,0,0,...  (The reciprocal-polynomial
 convention, where taps read from the other end, is not used.)
 
-A register is stepped, in leaps whose blocks double (P(x)**2 = P(x**2)),
-for at most one cycle: its first r bits, then a cycle of T <= 2**r bits
-that repeats, so any stream costs at most 2**r + 2r stepped bits.  The
+Every register stream comes from one walk, `Lfsr._cycle`: from the seed,
+or on from the last r bits of an open prefix, it steps in leaps whose
+blocks double (P(x)**2 = P(x**2)) to the end of its first r bits and one
+cycle of T <= 2**r bits, at most 2**r + 2r bits; the cycle repeats.  The
 shrunken keystream is built from those cycles by decimation (Coppersmith,
 Krawczyk and Mansour): read in rows of w, w the ones of a control cycle,
 its columns are the data stream decimated at stride T, which is
@@ -23,9 +24,10 @@ before any register is clocked past 4n + MAX_WINDOW_BITS bits.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress, islice
 from math import gcd
 
-from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _read_bits
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _read_bits, _text
 
 __all__ = [
     "Lfsr",
@@ -70,7 +72,7 @@ class Lfsr:
     immutable, and generation is pure.
     """
 
-    __slots__ = ("charpoly", "state", "_lags")
+    __slots__ = ("charpoly", "state")
 
     def __init__(self, charpoly: Gf2Poly, state: Sequence[int]):
         r = charpoly.degree
@@ -81,32 +83,31 @@ class Lfsr:
             raise ValueError(f"seed must supply exactly {r} bits")
         object.__setattr__(self, "charpoly", charpoly)
         object.__setattr__(self, "state", state)
-        lags = tuple(r - j for j in range(r) if charpoly.coeff(j))
-        object.__setattr__(self, "_lags", lags)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lfsr is immutable")
+
+    def __reduce__(self):
+        return Lfsr, (self.charpoly, self.state)
 
     @property
     def length(self) -> int:
         return self.charpoly.degree
 
     def sequence(self, n: int) -> bytes:
-        """First n output bits as 0/1 bytes.  Up to 2**r + 2r bits they are
-        stepped; beyond, the first r bits, then the register's cycle
-        repeated (`_cycle`), cut to n bits."""
+        """First n output bits as 0/1 bytes: the first r bits, then the
+        register's cycle repeated (`_cycle`), cut to n bits."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         r = self.length
-        if n <= (1 << r) + 2 * r:
-            return self._steps(n)
         bits, t = self._cycle(n)
-        return (bits[:r] + bits[r:] * -(-(n - r) // t))[:n]
+        return (bits[:r] + bits[r:] * -(-(n - r) // t))[:n] if t else bits
 
-    def _cycle(self, limit: int) -> tuple[bytes, int]:
+    def _cycle(self, limit: int, bits: bytes = b"") -> tuple[bytes, int]:
         """The stream up to the end of its first cycle and the cycle length
-        T, so bits[:r] + bits[r:] * k starts the stream for every k; or the
+        T, so bits[:r] + bits[r:] * k starts the stream for every k; or its
         first `limit` bits and 0 if the cycle does not close within them.
+        An open prefix `bits`, searched already, steps on from its last r bits.
 
         With P = x**k * Q and Q(0) = 1, the stream from bit k <= r on
         follows the invertible Q, so it is purely periodic: the state at
@@ -114,25 +115,27 @@ class Lfsr:
         first recurrence.  A cycle has at most 2**r states, so no more than
         2**r + 2r bits are stepped."""
         r = self.length
-        bits = self._steps(min(limit, (1 << r) + 2 * r))
-        end = bits.find(bits[r : 2 * r], r + 1)
+        start, stop = max(len(bits) - r, 0), min(limit, (1 << r) + 2 * r)
+        bits = bits[:start] + self._steps(stop - start, bits[start:] or self.state)
+        end = bits.find(bits[r : 2 * r], max(start, r) + 1)
         return (bits, 0) if end < 0 else (bits[:end], end - r)
 
-    def _steps(self, n: int) -> bytes:
-        """First n output bits, stepped by block leaps: P(x)**B = P(x**B)
-        for B = 2**k, so once r blocks of B bits exist, the next block is
-        the XOR of the blocks lag back, over the lags of P.  The r seed
-        bits are the first blocks; every r new blocks, pairs merge into
-        blocks twice as long, up to the end of the stream.  A block of B
-        bits is its B output bytes read as one big-endian int."""
+    def _steps(self, n: int, state: Sequence[int]) -> bytes:
+        """First n output bits from the r bits `state`, by block leaps:
+        P(x)**B = P(x**B) for B = 2**k, so once r blocks of B bits exist,
+        the next is the XOR of the blocks r - j back, j over P's set
+        coefficients below x**r, read once per call.  The state bits are the
+        first blocks; every r new blocks, pairs merge into blocks twice as
+        long.  A block is its B output bytes read as one big-endian int."""
         r = self.length
-        blocks, size = list(self.state), 1
+        lags = [r - j for j, c in enumerate(_text(self.charpoly.bits, r)[:r]) if c == "1"]
+        blocks, size = list(state), 1
         while len(blocks) * size < n:
             if len(blocks) == 2 * r:
                 blocks = [(hi << 8 * size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
                 size *= 2
             new = 0
-            for lag in self._lags:
+            for lag in lags:
                 new ^= blocks[-lag]
             blocks.append(new)
         return b"".join(block.to_bytes(size, "big") for block in blocks)[:n]
@@ -159,6 +162,9 @@ class ShrinkingGenerator:
     def __setattr__(self, name, value):
         raise AttributeError("ShrinkingGenerator is immutable")
 
+    def __reduce__(self):
+        return ShrinkingGenerator, (self.r1, self.r2)
+
     def shrunken_sequence(self, n: int) -> bytes:
         """First n kept bits of the data stream as 0/1 bytes.
 
@@ -178,28 +184,28 @@ class ShrinkingGenerator:
             raise ValueError("control register produces no ones")
         r = self.r1.length
         # 2n + 2r + 2 bits of a primitive control mostly hold n ones; an open prefix
-        # short of them steps on from its last r bits by its density, to the bound.
+        # short of them steps on by its density, at most doubling, to the bound.
         control, t = self.r1._cycle(_clocked(2 * n + 2 * r + 2, n))
         while not t and (ones := control.count(1)) < n:
-            size = min(len(control) * n // ones + r, 4 * n + MAX_WINDOW_BITS)
-            more = _clocked(max(size, len(control) + 1), n) - len(control)
-            control += Lfsr(self.r1.charpoly, control[-r:])._steps(r + more)[r:]
+            size = min(len(control) * n // ones + r, 2 * len(control), 4 * n + MAX_WINDOW_BITS)
+            control, t = self.r1._cycle(_clocked(max(size, len(control) + 1), n), control)
         if t:
             head, cycle = control[:r], control[r:]
             h, w = head.count(1), cycle.count(1)
             if h < n and not w:
                 raise ValueError("control register ran out of ones")
             q = -(-(n - h) // w) if h < n else 0
-            _clocked(r + q * t, n)  # the data bits either route steps
+            cut = t > 2 * n + 2  # only a grown prefix closes it: cut at the n-th one
+            end = next(islice(compress(range(t), cycle), (n - h - 1) % w, None)) + 1 if cut else t
+            last = _clocked(r + (q - 1) * t + end, n)  # the data bits either route steps
             if w <= q:
-                data = self.r2.sequence(r + q * t)
-                out = bytearray(h + q * w)
+                data = self.r2.sequence(last)
+                out = bytearray(n if cut else h + q * w)
                 out[:h] = _kept(head, data[:r])
-                ones = (pos for pos, bit in enumerate(cycle) if bit)
-                for k, pos in enumerate(ones):
+                for k, pos in enumerate(compress(range(t), cycle)):
                     out[h + k :: w] = data[r + pos :: t]
                 return bytes(out[:n])
-            control = head + cycle * q
+            control = (head + cycle * q)[:last]
         return _kept(control, self.r2.sequence(len(control)))[:n]
 
     def __repr__(self):

@@ -156,6 +156,9 @@ class Gf2Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Gf2Poly is immutable")
 
+    def __reduce__(self):
+        return Gf2Poly, (self.bits,)
+
     @classmethod
     def from_coeffs(cls, coeffs) -> "Gf2Poly":
         """Build from an ascending coefficient iterable of 0/1 values."""
@@ -201,13 +204,8 @@ class Gf2Poly:
 
     def to_terms(self) -> str:
         """Human form, ascending: ``1+x^2+x^5``."""
-        if self.bits == 0:
-            return "0"
-        parts = []
-        for i in range(self.bits.bit_length()):
-            if (self.bits >> i) & 1:
-                parts.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-        return "+".join(parts)
+        ones = (i for i, c in enumerate(self.to_bitstring()) if c == "1")
+        return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in ones) or "0"
 
     def __add__(self, other):
         if not isinstance(other, Gf2Poly):

@@ -129,6 +129,45 @@ class TestStreams:
         kept = "".join(str(d) for c, d in zip(control, data) if c)
         assert len(kept) >= 1000 and proc.stdout[:1000] == kept[:1000]
 
+    def test_shrink_with_a_control_cycle_that_closes_late(self):
+        # README's row for 1 + x^r seeded 0...01, r = 65551: its ones are bits
+        # kr - 1, two in the first prefix, where the cycle is still open.  The
+        # prefix doubles, the cycle closes at 3r bits, and 63 kept bits clock
+        # 63r data bits; 64 would clock 64r, over 4n + 2**22.  r = 1 mod 15,
+        # the data period, so the keystream is the data stream.
+        r = 65551
+        argv = ["shrink", "--p1", f"1+x^{r}", "--s1", "0" * (r - 1) + "1",
+                "--p2", "11001", "--s2", "1000", "--count"]
+        start = time.perf_counter()
+        proc = run_child(*argv, "63", timeout=60)
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = cf.literal_lfsr(cf.make_lfsr("11001", "1000"), 63)
+        assert proc.stdout == "".join(map(str, data)) + "\n"
+        proc = run_child(*argv, "64", timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"shrinkca: error: 64 kept bits would clock {64 * r} register bits,"
+            f" over {4 * 64 + shrinkca.MAX_WINDOW_BITS}\n"
+        )
+
+    def test_lfsr_at_the_highest_degree_an_argument_carries(self):
+        # README's `lfsr` row: Linux caps one argument at 128 KiB, so a seed
+        # has at most 131,071 bits; 1 + x^3 + x^r at that degree prints the
+        # most bits lfsr prints.  A child runs it, so a route slower than
+        # the block leap times out instead of stalling the suite.
+        r, n = 131071, shrinkca.MAX_WINDOW_BITS
+        start = time.perf_counter()
+        proc = run_child(
+            "lfsr", "--poly", f"1+x^3+x^{r}", "--seed", "0" * (r - 1) + "1",
+            "--count", str(n), timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout) == n + 1 and proc.stdout.endswith("\n")
+        literal = cf.literal_lfsr(cf.make_lfsr(f"1+x^3+x^{r}", "0" * (r - 1) + "1"), 3 * r)
+        assert proc.stdout[: 3 * r] == "".join(map(str, literal))
+
 
 class TestCa:
     def test_run_golden_rows(self, capsys):

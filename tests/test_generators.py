@@ -59,8 +59,8 @@ class TestLfsr:
         assert reg.state == (1, 0, 0)
 
     def test_register_is_immutable(self):
-        # A new polynomial on an old register would keep the old lags:
-        # length and sequence would describe two different registers.
+        # A new polynomial on an old register would leave its seed the
+        # wrong length: length and state would describe two registers.
         reg = cf.make_lfsr(cf.R1_POLY, cf.R1_SEED)
         for name, value in [
             ("charpoly", Gf2Poly.parse(cf.R2A_POLY)),
@@ -95,6 +95,21 @@ class TestLfsr:
 
     def test_bool_seed_bits_are_ints(self):
         assert Lfsr(Gf2Poly.parse("111"), [True, False]).state == (1, 0)
+
+    def test_high_degree_register_in_linear_time(self):
+        # Degree 2**20: the taps are read from the coefficient text when the
+        # register steps, and to_terms reads that text once, so building the
+        # register, printing its polynomial and stepping past its seed take
+        # time linear in the degree.  With the seed 0...01, bits r..r+3 are 0.
+        code = (
+            "from shrinkca import Gf2Poly, Lfsr, format_bits\n"
+            "r = 1 << 20\n"
+            "reg = Lfsr(Gf2Poly.parse(f'1+x^3+x^{r}'), bytes(r - 1) + bytes([1]))\n"
+            "print(reg.charpoly.to_terms())\n"
+            "print(format_bits(reg.sequence(r + 4)[r - 1 :]))\n"
+        )
+        out = cf.bare_python(code, timeout=10).splitlines()
+        assert out == [f"1+x^3+x^{1 << 20}", "10000"]
 
     def test_pn_period_and_balance(self):
         # Primitive polynomial of degree r: every nonzero seed gives period
@@ -224,7 +239,7 @@ class TestLeapGeneratorEquivalence:
             literal = bytes(cf.literal_lfsr(reg, (r << 16) + 1))
             off = rng.randrange((r << 15) + 2, r << 16)
             for n in [off] + [(r << k) + d for k in range(12, 17) for d in (-1, 0, 1)]:
-                assert reg._steps(n) == reg.sequence(n) == literal[:n]
+                assert reg._steps(n, reg.state) == reg.sequence(n) == literal[:n]
 
     @pytest.mark.parametrize(
         "poly",
@@ -345,18 +360,88 @@ class TestLeapGeneratorEquivalence:
         assert gen.shrunken_sequence(n) == bytes(compress(data, control))[:n]
 
     def test_open_control_prefix_steps_on_to_the_bound(self):
-        # 1 + x^r seeded 0...01, r = 2**16 + 15, has its ones at bits kr - 1:
+        # 1 + x^r seeded 0...01, r = 1,500,001, has its ones at bits kr - 1:
         # two in its first 2n + 2r + 2 bits, where its cycle is still open.
-        # At that density n = 63 ones would take 4,199,296 bits, past the
-        # bound 4n + 2**22 = 4,194,556, yet the 63rd is bit 63r - 1 =
-        # 4,129,712, so the prefix steps on to the bound and no further.
-        # r = 1 mod 15, the data period, so the keystream is the data stream.
-        r = (1 << 16) + 15
+        # At n = 3 the prefix grows to the bound 4n + 2**22 = 4,194,316 and
+        # no further: its third one, bit 3r - 1, and the end of its first
+        # cycle, at 3r bits, both lie past it.  The refusal names the one
+        # bit more that stepping on would clock.  Its two ones fall on data
+        # bits 0 and 1 mod 15, the data period.
+        r = 1_500_001
         data = cf.make_lfsr("11001", "1000")
         gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^{r}"), [0] * (r - 1) + [1]), data)
-        assert gen.shrunken_sequence(63) == data.sequence(63)
-        with pytest.raises(ValueError, match="64 kept bits would clock 4194561 register bits"):
-            gen.shrunken_sequence(64)
+        assert gen.shrunken_sequence(2) == data.sequence(2)
+        msg = "3 kept bits would clock 4194317 register bits, over 4194316$"
+        with pytest.raises(ValueError, match=msg):
+            gen.shrunken_sequence(3)
+
+    @pytest.mark.parametrize("one", [0, 1, "last"])
+    def test_control_cycle_that_closes_late(self, one):
+        # 1 + x^r, r = 2**16 + 15, seeded with one one: two ones in its first
+        # 2n + 2r + 2 bits and its cycle still open.  The prefix grows by at
+        # most doubling, so its cycle of r bits closes at 3r bits; a cycle
+        # closed past the first prefix is repeated only up to the n-th kept
+        # one, as the prefix would have been stepped.  Seeded 0...01, the
+        # 64th one is bit 64r - 1, so 64 kept bits need 64r data bits, over
+        # the bound 4n + 2**22 = 4,194,560; seeded 10...0 they need 63r + 1
+        # bits, inside it, though their 64 whole cycles pass it.
+        r = (1 << 16) + 15
+        one = r - 1 if one == "last" else one
+        data = cf.make_lfsr("11001", "1000")
+        control = Lfsr(Gf2Poly.parse(f"1+x^{r}"), [0] * one + [1] + [0] * (r - one - 1))
+        gen = ShrinkingGenerator(control, data)
+        n = 63 if one == r - 1 else 64
+        m = (n - 1) * r + one + 1
+        assert gen.shrunken_sequence(n) == bytes(compress(data.sequence(m), control.sequence(m)))
+        msg = f"{n + 1} kept bits would clock {m + r} register bits, over {4 * n + 4 + (1 << 22)}$"
+        with pytest.raises(ValueError, match=msg):
+            gen.shrunken_sequence(n + 1)
+
+    def test_cycles_closed_in_a_grown_prefix_match_literal_filtering(self):
+        # x^k + x^r repeats, from bit k on, a cycle of r - k bits or of a
+        # divisor.  Below n = (r - k)/2 - 1 a full-length cycle is longer
+        # than 2n + 2 bits, so only a grown prefix closes it when a sparse
+        # seed leaves its first prefix short of ones, and it is cut at the
+        # n-th kept bit: by the slices when w <= q, by the translate when
+        # w > q.  Every route must give the literally filtered bits.
+        rng = random.Random(0xC075)
+        for _ in range(300):
+            r = rng.randrange(8, 200)
+            k = rng.choice([0, 0, rng.randrange(r // 2)])
+            seed = [int(rng.random() < rng.choice((0.02, 0.05, 0.1, 0.2))) for _ in range(r)]
+            seed[rng.randrange(k, r)] = 1
+            l2 = rng.choice([d for d in (3, 4, 5, 7) if gcd(d, r) == 1])
+            data = Lfsr(cf.first_primitive(l2), cf.random_nonzero_seed(rng, l2))
+            gen = ShrinkingGenerator(Lfsr(Gf2Poly((1 << r) | (1 << k)), seed), data)
+            n = rng.randrange(1, max(2, (r - k) // 2))
+            m = r + (n + 1) * (r - k)
+            control, stream = cf.literal_lfsr(gen.r1, m), cf.literal_lfsr(data, m)
+            assert gen.shrunken_sequence(n) == bytes(compress(stream, control))[:n]
+
+    def test_cycle_resumes_from_an_open_prefix(self):
+        # _cycle(limit, prefix) steps on from an open prefix's last r bits
+        # and searches only the bits after it: grown in random steps, as the
+        # open-prefix loop grows it, it gives what one walk from the seed
+        # gives.  Polynomials with a factor x**k, sparse 1 + x**r and random
+        # ones; seeds with few or no ones.
+        rng = random.Random(0xC1C1E)
+        for _ in range(1500):
+            r = rng.randrange(1, 13)
+            poly = rng.choice([
+                rng.randrange(1 << r, 1 << (r + 1)) >> (k := rng.randrange(r + 1)) << k,
+                (1 << r) | 1,
+                rng.randrange(1 << r, 1 << (r + 1)),
+            ])
+            seed = [int(rng.random() < rng.choice((0, 0.125, 0.5))) for _ in range(r)]
+            reg = Lfsr(Gf2Poly(poly), seed)
+            edge = (1 << r) + 2 * r
+            limit = rng.randrange(r, edge + r + 2)
+            prefix, t = reg._cycle(rng.randrange(r, limit + 1))
+            while not t and len(prefix) < limit:
+                grown = rng.randrange(len(prefix) + 1, limit + 1)
+                prefix, t = reg._cycle(grown, prefix)
+                assert (prefix, t) == reg._cycle(grown)
+            assert (prefix, t) == reg._cycle(limit)
 
     def test_cycle_search_ends_at_the_first_recurrence(self):
         # Degree-41 controls whose cycles close within 3r bits: the search

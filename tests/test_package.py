@@ -1,10 +1,14 @@
 """The package's public surface: the union of its layers' ``__all__``,
-the standard-library modules importing it pulls in, and what its calls
-leave for the cyclic collector."""
+the standard-library modules importing it pulls in, what its calls
+leave for the cyclic collector, and its values under copy and pickle."""
 
 import ast
+import copy
 import gc
+import pickle
 from pathlib import Path
+
+import pytest
 
 import conftest as cf
 import shrinkca
@@ -46,6 +50,38 @@ def test_each_layer_defines_the_names_it_declares():
             elif isinstance(node, ast.Assign):
                 defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
         assert set(layer.__all__) <= defined, (layer.__name__, set(layer.__all__) - defined)
+
+
+def test_public_values_copy_and_pickle():
+    # Every public value type survives copy.copy, copy.deepcopy and each
+    # pickle protocol from 2 on, rebuilt through its validating
+    # constructor, and the immutable ones stay immutable.
+    gen = cf.gen_b()
+    values = [
+        shrinkca.Gf2Poly.parse(cf.R2B_POLY),
+        shrinkca.RuleVector.parse(cf.ORBIT_RULES),
+        gen.r1,
+        gen,
+        shrinkca.berlekamp_massey(gen.shrunken_sequence(124)),
+        shrinkca.linearize_shrinking_generator(3, gen.r2.charpoly),
+        shrinkca.verify_linearization(gen),
+    ]
+    assert {type(v).__name__ for v in values} == {
+        "Gf2Poly", "RuleVector", "Lfsr", "ShrinkingGenerator",
+        "BmResult", "LinearizationResult", "AttackReport",
+    }
+    rounds = [copy.copy, copy.deepcopy] + [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+        for p in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for value in values:
+        for round_trip in rounds:
+            twin = round_trip(value)
+            assert type(twin) is type(value) and repr(twin) == repr(value)
+    for value in values[0], values[2], values[3]:
+        twin = pickle.loads(pickle.dumps(value))
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            twin.anything = 0
 
 
 def test_library_calls_leave_no_cyclic_garbage():
