@@ -12,8 +12,6 @@ keystream is generated, and a zero seed before any automaton is
 synthesized.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Sequence
 

@@ -17,8 +17,6 @@ ends at chi, and on the way reads a state off a target's first L bits,
 which `fit_initial_state` checks by chi(E) on the whole target.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator, Sequence
 
 from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask

@@ -14,8 +14,6 @@ error (a failed invariant check, reported as ``shrinkca: internal
 error: ...``).
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from collections.abc import Sequence

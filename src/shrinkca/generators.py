@@ -17,11 +17,10 @@ cycle of T <= 2**r bits, at most 2**r + 2r bits; the cycle repeats.  The
 shrunken keystream is built from those cycles by decimation (Coppersmith,
 Krawczyk and Mansour): read in rows of w, w the ones of a control cycle,
 its columns are the data stream decimated at stride T, which is
-2**L1 - 1 for a primitive control.  A request for n kept bits is refused
-before any register is clocked past 4n + MAX_WINDOW_BITS bits.
+2**L1 - 1 for a primitive control.  One rule bounds it: a request for n
+kept bits is refused exactly when its n-th kept bit lies past the first
+4n + MAX_WINDOW_BITS register bits, and no register is clocked past them.
 """
-
-from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress, islice
@@ -48,8 +47,9 @@ def _kept(control: bytes, data: bytes) -> bytes:
 
 
 def _clocked(bits: int, n: int) -> int:
-    """`bits`, the register bits a request for n kept bits clocks, if they
-    are within 4n + MAX_WINDOW_BITS; a sparse control can need more."""
+    """`bits`, the register bits up to a request's n-th kept bit, if they are
+    within 4n + MAX_WINDOW_BITS; a sparse control can need more.  An open
+    control prefix at the bound asks for one bit more, and is refused."""
     if bits > (limit := 4 * n + MAX_WINDOW_BITS):
         raise ValueError(f"{n} kept bits would clock {bits} register bits, over {limit}")
     return bits
@@ -172,22 +172,26 @@ class ShrinkingGenerator:
         of T bits with w ones at pos_0 < ... < pos_(w-1) (`Lfsr._cycle`), so
         kept bit h + i*w + k is data bit r1 + i*T + pos_k: column k of the
         keystream in rows of w is a slice of the data stream at stride T.
-        With q the cycles needed, the keystream is those w slices of q bits
+        With q the cycles needed, each register is clocked up to the n-th
+        kept bit, and the keystream is those w slices of q or q - 1 bits
         when w <= q.  For w > q, where w short slices cost more, and for a
         control whose cycle does not close within the bits its first n ones
         need, each pair of register bits becomes one byte 2*control + data,
         and one translate deletes the bytes 0 and 1 (control 0) and maps 2
-        and 3 to the data bit."""
+        and 3 to the data bit.  The control is stepped from a prefix of
+        2*r1 + 2n + 2 bits, cut to the bound; n kept bits are refused exactly
+        when the n-th lies past the first 4n + MAX_WINDOW_BITS register bits."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):
             raise ValueError("control register produces no ones")
-        r = self.r1.length
+        r, bound = self.r1.length, 4 * n + MAX_WINDOW_BITS
         # 2n + 2r + 2 bits of a primitive control mostly hold n ones; an open prefix
         # short of them steps on by its density, at most doubling, to the bound.
-        control, t = self.r1._cycle(_clocked(2 * n + 2 * r + 2, n))
+        # A seed longer than the bound may hold no ones before it.
+        control, t = self.r1._cycle(min(2 * n + 2 * r + 2, bound))
         while not t and (ones := control.count(1)) < n:
-            size = min(len(control) * n // ones + r, 2 * len(control), 4 * n + MAX_WINDOW_BITS)
+            size = min(len(control) * n // max(ones, 1) + r, 2 * len(control), bound)
             control, t = self.r1._cycle(_clocked(max(size, len(control) + 1), n), control)
         if t:
             head, cycle = control[:r], control[r:]
@@ -195,16 +199,16 @@ class ShrinkingGenerator:
             if h < n and not w:
                 raise ValueError("control register ran out of ones")
             q = -(-(n - h) // w) if h < n else 0
-            cut = t > 2 * n + 2  # only a grown prefix closes it: cut at the n-th one
-            end = next(islice(compress(range(t), cycle), (n - h - 1) % w, None)) + 1 if cut else t
-            last = _clocked(r + (q - 1) * t + end, n)  # the data bits either route steps
-            if w <= q:
+            # The data bits up to the n-th kept one: in cycle q, or in the head if q is 0.
+            end = next(islice(compress(range(t), cycle), (n - h - 1) % w, None)) + 1 if q else t
+            last = _clocked(r + (q - 1) * t + end, n)
+            if 0 < w <= q:
                 data = self.r2.sequence(last)
-                out = bytearray(n if cut else h + q * w)
+                out = bytearray(n)
                 out[:h] = _kept(head, data[:r])
                 for k, pos in enumerate(compress(range(t), cycle)):
                     out[h + k :: w] = data[r + pos :: t]
-                return bytes(out[:n])
+                return bytes(out)
             control = (head + cycle * q)[:last]
         return _kept(control, self.r2.sequence(len(control)))[:n]
 

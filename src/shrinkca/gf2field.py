@@ -8,8 +8,6 @@ polynomial is the minimal polynomial of alpha^(2^L1 - 1): the shortest
 recurrence of the data stream decimated at that stride.
 """
 
-from __future__ import annotations
-
 from .gf2poly import X, Gf2Poly, _mulmod, _shortest_recurrence
 from .gf2poly import is_irreducible, is_primitive, poly_powmod
 

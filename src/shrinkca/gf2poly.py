@@ -14,8 +14,6 @@ least significant first, as polynomials, rules, states and windows are.
 Its Berlekamp-Massey loop is the package's one dependency finder.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "MAX_WINDOW_BITS",
     "Gf2Poly",

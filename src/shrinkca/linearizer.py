@@ -12,8 +12,6 @@ sharing (L1, P2) map to the same pair.  The doubled length L =
 degree(base) * 2^(L1 - 1) is refused above MAX_CELLS before any doubling.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .automata import RuleVector

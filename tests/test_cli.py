@@ -88,9 +88,10 @@ class TestStreams:
         assert len(kept) >= 10 and proc.stdout == kept[:10] + "\n"
 
     def test_shrink_refuses_a_sparse_control_before_clocking(self):
-        # 1 + x^1001 seeded 10...0 keeps one data bit per 1001: 400,000 kept
-        # bits would clock 400,400,000 data bits, past 4n + 2**22.  Stepped,
-        # they run out of memory under this cap; refused, nothing is stepped.
+        # 1 + x^1001 seeded 10...0 keeps one data bit per 1001: the 400,000th
+        # kept bit is data bit 400,398,999, past 4n + 2**22.  Stepped, the
+        # registers run out of memory under this cap; refused, the data
+        # register is not stepped.
         p1, s1 = "1" + "0" * 1000 + "1", "1" + "0" * 1000
         proc = run_child(
             "shrink", "--p1", p1, "--s1", s1, "--p2", "11001", "--s2", "1000",
@@ -98,7 +99,7 @@ class TestStreams:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "shrinkca: error: 400000 kept bits would clock 400400000 register bits,"
+            "shrinkca: error: 400000 kept bits would clock 400399000 register bits,"
             " over 5794304\n"
         )
 
@@ -113,8 +114,8 @@ class TestStreams:
     def test_shrink_at_the_worst_accepted_inputs(self, p1, s1, p2, s2):
         # README's worst accepted `shrink` inputs at the most bits it prints:
         # a control whose first 2n + 84 bits hold too few ones, and one that
-        # clocks exactly 4n + 2**22 data bits.  A child runs each, so a
-        # slower route times out instead of stalling the suite.
+        # keeps one data bit in five, clocking 5n - 4 of them.  A child runs
+        # each, so a slower route times out instead of stalling the suite.
         n = shrinkca.MAX_WINDOW_BITS
         start = time.perf_counter()
         proc = run_child(
@@ -314,6 +315,23 @@ class TestAttack:
             "verified      period 2 over a 4-bit window",
             "verdict       LINEAR",
         ]
+
+    def test_attack_at_the_widest_automaton(self):
+        # README's true-verdict `attack` row: (L1, L2) = (15, 4) builds
+        # 4 * 2**14 = MAX_CELLS cells, the widest automaton accepted, and
+        # Berlekamp-Massey and the fit's continuants are quadratic in it.  A
+        # child runs it, so a slower route times out instead of stalling the
+        # suite.
+        start = time.perf_counter()
+        proc = run_child(
+            "attack", "--p1", "1+x+x^15", "--s1", "1" + "0" * 14, "--p2", "1+x+x^4",
+            "--s2", "1000", "--format", "json", timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)
+        assert report["linearization"]["L"] == shrinkca.MAX_CELLS == report["linear_complexity"]
+        assert report["verdict"] is True and report["window_length"] == (1 << 19) - (1 << 15)
 
     def test_invalid_generator_exit_two(self, capsys):
         code, _, err = run_cli(

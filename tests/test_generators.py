@@ -1,6 +1,6 @@
 import random
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -336,14 +336,15 @@ class TestLeapGeneratorEquivalence:
         assert len(out) == n and out.startswith(kept) and out[period:] == out[:-period]
 
     def test_sparse_control_refused_past_the_clocking_bound(self):
-        # 1 + x^5 seeded 10000 keeps data bits 0, 5, 10, ...: n kept bits
-        # clock 5n data bits, which is the bound 4n + 2**22 at n = 2**22
-        # and one bit over it at n = 2**22 + 1.
+        # 1 + x^5 seeded 10000 keeps data bits 0, 5, 10, ...: the n-th kept
+        # bit is data bit 5n - 5, so n kept bits clock 5n - 4 data bits,
+        # which is the bound 4n + 2**22 at n = 2**22 + 4 and one bit over it
+        # at n = 2**22 + 5.
         gen = ShrinkingGenerator(cf.make_lfsr("100001", "10000"), cf.make_lfsr("11001", "1000"))
-        n = MAX_WINDOW_BITS
+        n = MAX_WINDOW_BITS + 4
         kept = bytes(cf.literal_lfsr(gen.r2, 11)[::5])  # data period 15: 3 kept bits
         assert gen.shrunken_sequence(n) == (kept * (n // 3 + 1))[:n]
-        msg = f"{n + 1} kept bits would clock {5 * n + 5} register bits, over {5 * n + 4}$"
+        msg = "4194309 kept bits would clock 20971541 register bits, over 20971540$"
         with pytest.raises(ValueError, match=msg):
             gen.shrunken_sequence(n + 1)
 
@@ -417,6 +418,51 @@ class TestLeapGeneratorEquivalence:
             m = r + (n + 1) * (r - k)
             control, stream = cf.literal_lfsr(gen.r1, m), cf.literal_lfsr(data, m)
             assert gen.shrunken_sequence(n) == bytes(compress(stream, control))[:n]
+
+    def test_whole_cycles_past_the_bound_are_not_refused(self):
+        # 1 + x^2900 seeded 10...0 keeps data bits 0, 2900, 5800, ...: its
+        # cycle closes in the first prefix of 2n + 2r + 2 bits, and the
+        # 1449th kept bit is data bit 1448 * 2900, inside the bound
+        # 4n + 2**22 = 4,200,100 though 1449 whole cycles pass it.  The
+        # 1450th lies past the bound 4,200,104, and the refusal names the
+        # data bits up to it.
+        control, data = cf.make_lfsr("1+x^2900", "1" + "0" * 2899), cf.make_lfsr("1101", "100")
+        gen, m = ShrinkingGenerator(control, data), 1448 * 2900 + 1
+        literal = bytes(compress(data.sequence(m), control.sequence(m)))
+        assert len(literal) == 1449 and gen.shrunken_sequence(1449) == literal
+        msg = "1450 kept bits would clock 4202101 register bits, over 4200104$"
+        with pytest.raises(ValueError, match=msg):
+            gen.shrunken_sequence(1450)
+
+    def test_control_longer_than_its_first_prefix_bound(self):
+        # 1 + x^3000001 seeded all ones is all ones: 5 kept bits are the first
+        # 5 data bits, though its first prefix, 2n + 2r + 2 = 6,000,014 bits,
+        # is cut to the bound 4n + 2**22 = 4,194,324.
+        r = 3_000_001
+        data = cf.make_lfsr("11001", "1000")
+        gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^{r}"), [1] * r), data)
+        assert gen.shrunken_sequence(5) == bytes(compress(data.sequence(5), [1] * 5))
+
+    @pytest.mark.parametrize("kind", ["first", "grown", "open"])
+    def test_refused_exactly_when_the_nth_kept_bit_lies_past_the_bound(self, kind):
+        # Each case puts the n-th kept bit at register bit 4n + 2**22 - 1,
+        # the last inside the bound, or at 4n + 2**22, the first past it
+        # (`bound_edge_control`).  Inside, the keystream is the literally
+        # filtered registers; past, the refusal names the bound + 1.
+        rng = random.Random(f"edge-{kind}")
+        shapes = [0, 2] if kind == "open" else [None] * 6
+        for i, past in [(i, past) for i in shapes for past in (0, 1)]:
+            l2 = rng.choice((3, 4, 5, 7))
+            control, n, stream = bound_edge_control(rng, kind, i, past, l2)
+            data = Lfsr(cf.first_primitive(l2), cf.random_nonzero_seed(rng, l2))
+            gen, bound = ShrinkingGenerator(control, data), 4 * n + MAX_WINDOW_BITS
+            if past:
+                msg = f"{n} kept bits would clock {bound + 1} register bits, over {bound}$"
+                with pytest.raises(ValueError, match=msg):
+                    gen.shrunken_sequence(n)
+            else:
+                literal = bytes(compress(data.sequence(bound), stream))
+                assert len(literal) == n and gen.shrunken_sequence(n) == literal
 
     def test_cycle_resumes_from_an_open_prefix(self):
         # _cycle(limit, prefix) steps on from an open prefix's last r bits
@@ -518,3 +564,54 @@ class TestLeapGeneratorEquivalence:
         assert gen.shrunken_sequence(1) == bytes([1])
         with pytest.raises(ValueError, match="ran out of ones"):
             gen.shrunken_sequence(5)
+
+
+def bound_edge_control(rng, kind, i, past, l2):
+    """A control x^k + x^r, r coprime to l2, a count n whose n-th kept bit
+    is register bit 4n + 2**22 - 1 + past, and the control's literal stream
+    up to that bound.
+
+    The control repeats bits k..r-1 of its seed, a cycle of d = r - k bits
+    with w ones at p_0 < ... < p_(w-1): after the a ones of bits 0..k-1,
+    kept bit a + row*w + j is register bit k + row*d + p_j.  Its cycle
+    closes in the first prefix of 2n + 2r + 2 bits when d <= 2n + 2
+    ("first"), in a grown prefix once 2r + d bits are stepped ("grown"), or
+    not within the bound when 3r passes it ("open": w = 1, k = 0 and the one
+    at bit i*r + p_0; i = 0 puts it in a seed longer than the bound)."""
+    while True:
+        if kind == "open":
+            n, k = i + 1, 0
+            edge = 4 * n + MAX_WINDOW_BITS - 1 + past  # the n-th kept bit
+            lo, hi = (edge + 1, edge + 9) if i == 0 else ((edge + 2) // 3 + 1, edge // 2)
+            d = rng.randrange(lo, hi + 1)
+            head, ones = b"", [edge - i * d]
+        else:
+            w = rng.choice((1, 1, 2, 3, 5))
+            k = rng.choice((0, 0, rng.randrange(1, 50)))
+            cap = isqrt(w << 23)  # for d near it, n is near d / 2
+            lo, hi = (40 * w, cap) if kind == "first" else (cap * 6 // 5, 60000)
+            d = rng.randrange(lo, hi)
+            head = bytes(int(rng.random() < 0.1) for _ in range(k))
+            a = head.count(1)
+            n0 = a + 1 + w * (MAX_WINDOW_BITS // (d - 4 * w))
+            for n in range(max(a + 1, n0 - 4 * w), n0 + 4 * w):
+                row, j = divmod(n - a - 1, w)
+                p = 4 * n + MAX_WINDOW_BITS - 1 + past - k - row * d
+                if j <= p <= d - w + j and (kind == "first") == (d <= 2 * n + 2):
+                    ones = rng.sample(range(p), j) + [p] + rng.sample(range(p + 1, d), w - 1 - j)
+                    break
+            else:
+                continue
+        if gcd(k + d, l2) == 1:
+            break
+    r, bound = k + d, 4 * n + MAX_WINDOW_BITS
+    seed = bytearray(head) + bytearray(d)
+    for p in ones:
+        seed[k + p] = 1
+    control = Lfsr(Gf2Poly((1 << r) | (1 << k)), seed)
+    if kind == "open":
+        assert 3 * r > bound + 1
+    else:
+        assert bool(control._cycle(2 * n + 2 * r + 2)[1]) == (kind == "first")
+        assert 2 * r + d < bound
+    return control, n, (head + bytes(seed[k:]) * -(-(bound - k) // d))[:bound]
