@@ -12,21 +12,24 @@ convention, where taps read from the other end, is not used.)
 
 Every register stream comes from one walk, `Lfsr._cycle`: from the seed,
 or on from the last r bits of an open prefix, it steps in leaps whose
-blocks double (P(x)**2 = P(x**2)) to the end of its first r bits and one
-cycle of T <= 2**r bits, at most 2**r + 2r bits; the cycle repeats.  The
-shrunken keystream is built from those cycles by decimation (Coppersmith,
-Krawczyk and Mansour): read in rows of w, w the ones of a control cycle,
-its columns are the data stream decimated at stride T, which is
-2**L1 - 1 for a primitive control.  One rule bounds it: a request for n
-kept bits is refused exactly when its n-th kept bit lies past the first
-4n + MAX_WINDOW_BITS register bits, and no register is clocked past them.
+blocks, g bits wide at first for P(x) = Q(x**g), double (P(x)**2 =
+P(x**2)) to the end of its first r bits and one cycle of T <= 2**r
+bits, at most 2**r + 2r bits; the cycle repeats.  The shrunken keystream
+is built from those cycles by decimation (Coppersmith, Krawczyk and
+Mansour): read in rows of w, w the ones of a control cycle, its columns
+are the data stream decimated at stride T, which is 2**L1 - 1 for a
+primitive control.  Two rules bound it: a request for n kept bits is
+refused when its n-th kept bit lies past the first 4n + MAX_WINDOW_BITS
+register bits, and no register is clocked past them; and a request
+whose register would XOR more than MAX_WINDOW_BITS blocks in its first
+doubling is refused before it steps (`Lfsr._steps`).
 """
 
 from collections.abc import Sequence
 from itertools import compress, islice
 from math import gcd
 
-from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _read_bits, _text
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _Frozen, _read_bits
 
 __all__ = [
     "Lfsr",
@@ -65,7 +68,7 @@ def format_bits(bits: Sequence[int]) -> str:
     return _bit_digits(bits).decode()
 
 
-class Lfsr:
+class Lfsr(_Frozen):
     """Linear feedback shift register in Fibonacci form.
 
     `state` holds the first `degree` output bits; the register is
@@ -83,12 +86,6 @@ class Lfsr:
             raise ValueError(f"seed must supply exactly {r} bits")
         object.__setattr__(self, "charpoly", charpoly)
         object.__setattr__(self, "state", state)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lfsr is immutable")
-
-    def __reduce__(self):
-        return Lfsr, (self.charpoly, self.state)
 
     @property
     def length(self) -> int:
@@ -121,17 +118,30 @@ class Lfsr:
         return (bits, 0) if end < 0 else (bits[:end], end - r)
 
     def _steps(self, n: int, state: Sequence[int]) -> bytes:
-        """First n output bits from the r bits `state`, by block leaps:
-        P(x)**B = P(x**B) for B = 2**k, so once r blocks of B bits exist,
-        the next is the XOR of the blocks r - j back, j over P's set
-        coefficients below x**r, read once per call.  The state bits are the
-        first blocks; every r new blocks, pairs merge into blocks twice as
-        long.  A block is its B output bytes read as one big-endian int."""
+        """First n output bits from the r bits `state`, by block leaps.  P's
+        set coefficients j below x**r, read once per call, give the lags
+        r - j, and g, the gcd of r and the lags, gives P(x) = Q(x**g), so
+        P(x)**B = Q(x**(g*B)) for B = 2**k: once r/g blocks of g*B bits
+        exist, the next is the XOR of the blocks (r - j)/g back.  The state's
+        g-bit groups are the first blocks; every r/g new blocks, pairs merge
+        into blocks twice as long.  A block is its output bytes read as one
+        big-endian int.  A request whose first doubling, r/g new blocks or
+        as many as it needs, takes over MAX_WINDOW_BITS block XORs (one per
+        tap a block) is refused before any block is stepped; each later
+        doubling takes as many XORs as a whole first one."""
         r = self.length
-        lags = [r - j for j, c in enumerate(_text(self.charpoly.bits, r)[:r]) if c == "1"]
-        blocks, size = list(state), 1
+        lags = [r - j for j, c in enumerate(self.charpoly.to_bitstring()[:r]) if c == "1"]
+        g = gcd(r, *lags)
+        width = r // g  # blocks of g bits in the state
+        if (xors := len(lags) * min(width, -(-(n - r) // g))) > MAX_WINDOW_BITS:
+            raise ValueError(
+                f"{len(lags)} taps would XOR {xors} blocks in one doubling, over {MAX_WINDOW_BITS}"
+            )
+        groups = (int.from_bytes(state[i : i + g], "big") for i in range(0, r, g))
+        blocks, size = list(state) if g == 1 else list(groups), g  # g = 1 skips a loop per bit
+        lags = [lag // g for lag in lags]
         while len(blocks) * size < n:
-            if len(blocks) == 2 * r:
+            if len(blocks) == 2 * width:
                 blocks = [(hi << 8 * size) | lo for hi, lo in zip(blocks[::2], blocks[1::2])]
                 size *= 2
             new = 0
@@ -144,7 +154,7 @@ class Lfsr:
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
 
 
-class ShrinkingGenerator:
+class ShrinkingGenerator(_Frozen):
     """Control register r1 gates data register r2: output bits of r2 where
     the simultaneous r1 bit is 1, discard the rest.  Register lengths must
     be coprime.  Immutable, like its registers."""
@@ -158,12 +168,6 @@ class ShrinkingGenerator:
             )
         object.__setattr__(self, "r1", r1)
         object.__setattr__(self, "r2", r2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShrinkingGenerator is immutable")
-
-    def __reduce__(self):
-        return ShrinkingGenerator, (self.r1, self.r2)
 
     def shrunken_sequence(self, n: int) -> bytes:
         """First n kept bits of the data stream as 0/1 bytes.
@@ -179,8 +183,9 @@ class ShrinkingGenerator:
         need, each pair of register bits becomes one byte 2*control + data,
         and one translate deletes the bytes 0 and 1 (control 0) and maps 2
         and 3 to the data bit.  The control is stepped from a prefix of
-        2*r1 + 2n + 2 bits, cut to the bound; n kept bits are refused exactly
-        when the n-th lies past the first 4n + MAX_WINDOW_BITS register bits."""
+        2*r1 + 2n + 2 bits, cut to the bound; n kept bits are refused when
+        the n-th lies past the first 4n + MAX_WINDOW_BITS register bits, or
+        when a register would XOR too many blocks stepping them (`Lfsr._steps`)."""
         if n < 0:
             raise ValueError("count must be nonnegative")
         if n and not any(self.r1.state):

@@ -11,7 +11,9 @@ It also holds the package's bit codec: a bit sequence is any sequence
 of the ints 0 and 1 (bools pass, ``1.0`` does not), held as 0/1 bytes,
 index 0 first; its text is ``[01]+``, index 0 leftmost; a mask packs it
 least significant first, as polynomials, rules, states and windows are.
-Its Berlekamp-Massey loop is the package's one dependency finder.
+Its Berlekamp-Massey loop is the package's one dependency finder, and
+its `_Frozen` is the one base of the immutable value types, `Gf2Poly`,
+`Lfsr` and `ShrinkingGenerator`.
 """
 
 __all__ = [
@@ -30,7 +32,8 @@ MAX_WINDOW_BITS = 1 << 22
 """Bound in bits on the attack window, a printed stream or orbit and a
 `bm` stream, and so on the term exponents `Gf2Poly.parse` accepts: no
 larger degree fits any of them.  The window is 2^(L1+L2) - 2^L1 bits,
-so every L1 + L2 <= 22 fits; it takes about 60 MB at the bound."""
+so every L1 + L2 <= 22 fits: `shrinkca attack` at (3, 19) and at (5, 17)
+peaks at 29-30 MB RSS (child processes, Python 3.11.7, 2-vCPU host)."""
 
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -141,7 +144,23 @@ def _shortest_recurrence(bits: bytes) -> tuple[int, int]:
     return _reversed_mask(c, lc + 1), lc  # reversed over degree LC
 
 
-class Gf2Poly:
+class _Frozen:
+    """Base of the immutable value types: slots listed in constructor order, set
+    once and never deleted, so copy and pickle rebuild a value through its checks."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Gf2Poly(_Frozen):
     """Immutable polynomial over GF(2), coefficient of x^i at bit i."""
 
     __slots__ = ("bits",)
@@ -150,12 +169,6 @@ class Gf2Poly:
         if not isinstance(bits, int) or bits < 0:
             raise ValueError("coefficient mask must be a nonnegative int")
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gf2Poly is immutable")
-
-    def __reduce__(self):
-        return Gf2Poly, (self.bits,)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Gf2Poly":

@@ -169,6 +169,37 @@ class TestStreams:
         literal = cf.literal_lfsr(cf.make_lfsr(f"1+x^3+x^{r}", "0" * (r - 1) + "1"), 3 * r)
         assert proc.stdout[: 3 * r] == "".join(map(str, literal))
 
+    def test_lfsr_with_every_tap_set_at_the_dense_bound(self):
+        # README's dense `lfsr` row: each doubling XORs taps * r blocks, so
+        # every tap set at degree 2,048 is 2**22, the most accepted, here at
+        # the most bits lfsr prints.  The stream from 10...0 is the seed and
+        # a 1, repeated, since (1 + x)(1 + x + ... + x**r) = 1 + x**(r + 1).
+        r, n = 2048, shrinkca.MAX_WINDOW_BITS
+        start = time.perf_counter()
+        proc = run_child(
+            "lfsr", "--poly", "1" * (r + 1), "--seed", "1" + "0" * (r - 1),
+            "--count", str(n), timeout=60,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        period = "1" + "0" * (r - 1) + "1"
+        assert proc.stdout == (period * (n // len(period) + 1))[:n] + "\n"
+
+    def test_lfsr_refuses_every_tap_set_past_the_dense_bound(self):
+        # Degree 2,049 with every tap set XORs 2,049**2 blocks in its first
+        # doubling, over 2**22: refused before any block is stepped.
+        r, n = 2049, shrinkca.MAX_WINDOW_BITS
+        start = time.perf_counter()
+        proc = run_child(
+            "lfsr", "--poly", "1" * (r + 1), "--seed", "1" + "0" * (r - 1),
+            "--count", str(n), timeout=60,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"shrinkca: error: {r} taps would XOR {r * r} blocks in one doubling, over {n}\n"
+        )
+
 
 class TestCa:
     def test_run_golden_rows(self, capsys):

@@ -565,6 +565,101 @@ class TestLeapGeneratorEquivalence:
         with pytest.raises(ValueError, match="ran out of ones"):
             gen.shrunken_sequence(5)
 
+    def test_registers_of_a_polynomial_in_x_to_the_g(self):
+        # P(x) = Q(x**g) steps on g-bit blocks: g = 2..7, random Q with and
+        # without a factor y, seeds with few or no ones, counts on and around
+        # r, 2r, the end of the first cycle and the 2**r + 2r step bound,
+        # from the seed and resumed from an open prefix.
+        rng = random.Random(0x9B10C)
+        for _ in range(200):
+            reg = x_to_the_g_register(rng, 12)
+            r = reg.length
+            edge = (1 << r) + 2 * r
+            literal = bytes(cf.literal_lfsr(reg, edge + 1))
+            bits, t = reg._cycle(edge)
+            assert t and bits == literal[: r + t]
+            ends = {r, 2 * r, r + t, edge}
+            for n in sorted({max(end + d, 0) for end in ends for d in (-1, 0, 1)}):
+                assert reg.sequence(n) == literal[:n]
+            prefix, t = reg._cycle(rng.randrange(r, r + r + t))
+            assert not t and prefix == literal[: len(prefix)]
+            grown = rng.randrange(len(prefix) + 1, edge + 1)
+            assert reg._cycle(grown, prefix) == reg._cycle(grown)
+
+    def test_keystream_with_a_control_in_x_to_the_g(self):
+        # Controls Q(x**g), g = 2..7, over random data registers, some with a
+        # zero seed, against the literally filtered registers; only a
+        # control that runs out of ones may refuse.
+        rng = random.Random(0x9C7B)
+        checked = 0
+        while checked < 80:
+            control = x_to_the_g_register(rng, 8)
+            l2 = rng.randrange(1, 9)
+            if gcd(control.length, l2) != 1 or not any(control.state):
+                continue
+            seed = [rng.randrange(2) for _ in range(l2)] if rng.random() < 0.8 else [0] * l2
+            data = Lfsr(Gf2Poly(rng.randrange(1 << l2, 2 << l2)), seed)
+            gen = ShrinkingGenerator(control, data)
+            n = rng.choice((1, control.length, 2 * control.length, rng.randrange(0, 200)))
+            expected = cf.brute_shrunken(gen, n)
+            if len(expected) < n:
+                with pytest.raises(ValueError, match="ones"):
+                    gen.shrunken_sequence(n)
+            else:
+                assert gen.shrunken_sequence(n) == bytes(expected)
+                checked += 1
+
+    def test_dense_taps_refused_before_stepping(self):
+        # A request whose first doubling, or as much of it as the request
+        # steps, XORs over MAX_WINDOW_BITS blocks (taps per new block) is
+        # refused before any block is stepped.  Every tap set: degree 2,048
+        # is at the bound, and degree 2,049 is accepted up to 2,047 new
+        # blocks, r + 2,047 bits.  Q(x**2) with Q's every tap set at degree
+        # 2,048 has 2,048 taps over 2,048 blocks of 2 bits, and is at the
+        # bound.  With Q(y) = 1 + ... + y**d, (1 + x**g) Q(x**g) =
+        # 1 + x**(r + g), so the stream from 10...0 is the seed, a 1 and
+        # g - 1 zeros, repeated.
+        at, past = Gf2Poly((1 << 2049) - 1), Gf2Poly((1 << 2050) - 1)
+        spread = Gf2Poly(sum(1 << 2 * i for i in range(2049)))
+        for poly, g in (at, 1), (spread, 2):
+            reg = Lfsr(poly, [1] + [0] * (poly.degree - 1))
+            period = bytes(reg.state) + bytes([1] + [0] * (g - 1))
+            assert reg.sequence(3 * len(period) + 1) == period * 3 + b"\1"
+        reg = Lfsr(past, [1] + [0] * 2048)
+        period = bytes(reg.state) + b"\1"
+        for n in 2049, 2050, 2049 + 2047:
+            assert reg.sequence(n) == (period * 2)[:n]
+        msg = f"^2049 taps would XOR {2049 * 2048} blocks in one doubling, over {MAX_WINDOW_BITS}$"
+        with pytest.raises(ValueError, match=msg):
+            reg.sequence(2049 + 2048)
+        gen = ShrinkingGenerator(cf.make_lfsr("11", "1"), reg)
+        assert gen.shrunken_sequence(2050) == period
+        with pytest.raises(ValueError, match=msg):
+            gen.shrunken_sequence(2049 + 2048)
+
+    def test_sparse_control_past_half_the_bound_is_not_dense(self):
+        # 1 + x^3 + x^3000001 has 2 taps over 3,000,001 one-bit blocks, but 5
+        # kept bits step the control only to the clocking bound, 1,194,323
+        # new blocks: 2,388,646 XORs, under MAX_WINDOW_BITS.  Its seed of
+        # ones keeps the first 5 data bits.
+        r = 3_000_001
+        data = cf.make_lfsr("11001", "1000")
+        gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^3+x^{r}"), [1] * r), data)
+        assert gen.shrunken_sequence(5) == data.sequence(5)
+
+
+def x_to_the_g_register(rng, top):
+    """A register of degree at most `top` whose polynomial is Q(x**g) for g
+    in 2..7 and a random Q, with or without a factor y, seeded with few or
+    no ones."""
+    g = rng.randrange(2, 8)
+    d = rng.randrange(1, top // g + 1)
+    q = rng.randrange(1 << d, 2 << d)
+    q = q | 1 if rng.random() < 0.6 else q & ~1
+    poly = sum(1 << g * i for i in range(d + 1) if q >> i & 1)
+    density = rng.choice((0, 0.125, 0.5))
+    return Lfsr(Gf2Poly(poly), [int(rng.random() < density) for _ in range(g * d)])
+
 
 def bound_edge_control(rng, kind, i, past, l2):
     """A control x^k + x^r, r coprime to l2, a count n whose n-th kept bit

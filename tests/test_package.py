@@ -5,6 +5,7 @@ leave for the cyclic collector, and its values under copy and pickle."""
 import ast
 import copy
 import gc
+import hashlib
 import pickle
 from pathlib import Path
 
@@ -82,6 +83,60 @@ def test_public_values_copy_and_pickle():
         twin = pickle.loads(pickle.dumps(value))
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             twin.anything = 0
+
+
+# sha256 prefixes of the pickles, at protocols 2 to 5, of the values that
+# test_immutable_values_share_one_frozen_base builds; taken when each class
+# wrote out its own __setattr__ and __reduce__.
+PICKLE_DIGESTS = {
+    "Gf2Poly": ("048826c260563667", "f539d1ea9a675b2b", "632cbcb1522e78fc", "fc56746d1516c6d7"),
+    "Lfsr": ("9fb315b91f7d8fdb", "c84a925c28e9fbee", "73724e48fc08276e", "4bd878b18beda074"),
+    "ShrinkingGenerator": (
+        "b60f64e543e33a4e", "aa7fe2cb92b9ee58", "d96a29e022745fea", "cbf1fa42ef56e6f5",
+    ),
+    "BmResult": ("a36d9ba4855177cd", "83e03026ced8f1ea", "85f3b7f864fca661", "877c5a9285b026ff"),
+    "LinearizationResult": (
+        "f04ac841980a38f4", "a4040820096c4e11", "1a98c836ba485f14", "24257b155e74fd12",
+    ),
+    "AttackReport": (
+        "dfa491da606a72a2", "f9d7119b321762ed", "dd3fcc457849463b", "09d8a6087ba0a642",
+    ),
+}
+
+
+def test_immutable_values_share_one_frozen_base():
+    # Gf2Poly, Lfsr and ShrinkingGenerator take assignment and copying from
+    # gf2poly._Frozen.  Their pickles and those of the records holding them
+    # keep their bytes, copies rebuild them, no instance has a __dict__ (the
+    # base's empty __slots__), and assignment or deletion names the class.
+    gen = cf.gen_b()
+    values = [
+        shrinkca.Gf2Poly.parse(cf.R2B_POLY),
+        gen.r1,
+        gen,
+        shrinkca.berlekamp_massey(gen.shrunken_sequence(124)),
+        shrinkca.linearize_shrinking_generator(3, gen.r2.charpoly),
+        shrinkca.verify_linearization(gen),
+    ]
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    for value in values:
+        name = type(value).__name__
+        pickles = [pickle.dumps(value, protocol=p) for p in protocols]
+        digests = tuple(hashlib.sha256(data).hexdigest()[:16] for data in pickles)
+        assert digests == PICKLE_DIGESTS[name], name
+        for twin in copy.copy(value), copy.deepcopy(value):
+            assert type(twin) is type(value) and repr(twin) == repr(value)
+            assert [pickle.dumps(twin, protocol=p) for p in protocols] == pickles
+        assert not hasattr(value, "__dict__"), name
+    for value in values[:3]:
+        assert isinstance(value, gf2poly._Frozen)
+        message = f"^{type(value).__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            value.anything = 0
+        for name in value.__slots__:
+            with pytest.raises(AttributeError, match=message):
+                delattr(value, name)
+        assert repr(value) == repr(copy.copy(value))
 
 
 def test_library_calls_leave_no_cyclic_garbage():
