@@ -19,7 +19,7 @@ which `fit_initial_state` checks by chi(E) on the whole target.
 
 from collections.abc import Iterator, Sequence
 
-from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _mask
+from .gf2poly import Gf2Poly, _annihilates, _bit_bytes, _from_digits, _Frozen, _mask
 from .gf2poly import _read_bits, _reversed_mask, _text
 
 __all__ = [
@@ -33,13 +33,13 @@ __all__ = [
 ]
 
 
-class RuleVector:
+class RuleVector(_Frozen):
     """Per-cell rule assignment: 0 = rule 90, 1 = rule 150.
 
-    Held as one int: the packed mask of rule-150 cells (bit i = cell
-    i+1) under a marker bit at position L, so the length is the bit
-    length less one.  Wire form is ``^[01]+$`` with cell 1 leftmost;
-    vectors order as their wire forms do.
+    Held as one int, by which vectors compare and hash (`_Frozen`): the
+    packed mask of rule-150 cells (bit i = cell i+1) under a marker bit
+    at position L, so the length is the bit length less one.  Wire form
+    is ``^[01]+$``, cell 1 leftmost; vectors order and unpickle by it.
     """
 
     __slots__ = ("_marked",)
@@ -48,13 +48,13 @@ class RuleVector:
         delta = _bit_bytes(delta)
         if not delta:
             raise ValueError("a rule vector needs at least one cell")
-        self._marked = _mask(delta) | (1 << len(delta))
+        object.__setattr__(self, "_marked", _mask(delta) | (1 << len(delta)))
 
     @classmethod
     def _from_mask(cls, mask150: int, length: int) -> "RuleVector":
         """The vector of `length` cells whose rule-150 mask is `mask150`."""
         rules = object.__new__(cls)
-        rules._marked = mask150 | (1 << length)
+        object.__setattr__(rules, "_marked", mask150 | (1 << length))
         return rules
 
     @classmethod
@@ -81,18 +81,13 @@ class RuleVector:
     def __iter__(self):
         return iter(self.delta)
 
-    def __eq__(self, other):
-        if not isinstance(other, RuleVector):
-            return NotImplemented
-        return self._marked == other._marked
-
     def __lt__(self, other):
         if not isinstance(other, RuleVector):
             return NotImplemented
         return str(self) < str(other)
 
-    def __hash__(self):
-        return hash((RuleVector, self._marked))
+    def __reduce__(self):
+        return RuleVector.parse, (str(self),)
 
     def __str__(self):
         return _text(self.mask150, len(self))

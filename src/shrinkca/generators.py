@@ -71,8 +71,8 @@ def format_bits(bits: Sequence[int]) -> str:
 class Lfsr(_Frozen):
     """Linear feedback shift register in Fibonacci form.
 
-    `state` holds the first `degree` output bits; the register is
-    immutable, and generation is pure.
+    `state` holds the first `degree` output bits; the register is an
+    immutable value (`_Frozen`), and generation is pure.
     """
 
     __slots__ = ("charpoly", "state")
@@ -157,7 +157,7 @@ class Lfsr(_Frozen):
 class ShrinkingGenerator(_Frozen):
     """Control register r1 gates data register r2: output bits of r2 where
     the simultaneous r1 bit is 1, discard the rest.  Register lengths must
-    be coprime.  Immutable, like its registers."""
+    be coprime.  An immutable value (`_Frozen`), like its registers."""
 
     __slots__ = ("r1", "r2")
 
@@ -182,8 +182,8 @@ class ShrinkingGenerator(_Frozen):
         control whose cycle does not close within the bits its first n ones
         need, each pair of register bits becomes one byte 2*control + data,
         and one translate deletes the bytes 0 and 1 (control 0) and maps 2
-        and 3 to the data bit.  The control is stepped from a prefix of
-        2*r1 + 2n + 2 bits, cut to the bound; n kept bits are refused when
+        and 3 to the data bit.  The seed is the control's first prefix, and
+        it steps on only when short of n ones; n kept bits are refused when
         the n-th lies past the first 4n + MAX_WINDOW_BITS register bits, or
         when a register would XOR too many blocks stepping them (`Lfsr._steps`)."""
         if n < 0:
@@ -191,12 +191,12 @@ class ShrinkingGenerator(_Frozen):
         if n and not any(self.r1.state):
             raise ValueError("control register produces no ones")
         r, bound = self.r1.length, 4 * n + MAX_WINDOW_BITS
-        # 2n + 2r + 2 bits of a primitive control mostly hold n ones; an open prefix
-        # short of them steps on by its density, at most doubling, to the bound.
-        # A seed longer than the bound may hold no ones before it.
-        control, t = self.r1._cycle(min(2 * n + 2 * r + 2, bound))
+        # The seed is the first prefix; one short of n ones steps on by its density, to at
+        # most 2n + 2r + 2 bits (where a primitive control mostly holds n ones) or twice its
+        # length, cut to the bound.  A seed longer than the bound may hold no ones before it.
+        control, t = bytes(self.r1.state[:bound]), 0
         while not t and (ones := control.count(1)) < n:
-            size = min(len(control) * n // max(ones, 1) + r, 2 * len(control), bound)
+            size = min(len(control) * n // (ones or 1) + r, 2 * max(len(control), n + r + 1), bound)
             control, t = self.r1._cycle(_clocked(max(size, len(control) + 1), n), control)
         if t:
             head, cycle = control[:r], control[r:]

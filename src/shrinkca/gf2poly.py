@@ -13,7 +13,7 @@ index 0 first; its text is ``[01]+``, index 0 leftmost; a mask packs it
 least significant first, as polynomials, rules, states and windows are.
 Its Berlekamp-Massey loop is the package's one dependency finder, and
 its `_Frozen` is the one base of the immutable value types, `Gf2Poly`,
-`Lfsr` and `ShrinkingGenerator`.
+`Lfsr`, `ShrinkingGenerator` and `RuleVector`, which compare and hash by value.
 """
 
 __all__ = [
@@ -145,10 +145,13 @@ def _shortest_recurrence(bits: bytes) -> tuple[int, int]:
 
 
 class _Frozen:
-    """Base of the immutable value types: slots listed in constructor order, set
-    once and never deleted, so copy and pickle rebuild a value through its checks."""
+    """Immutable value base: slots in constructor order, set once and never deleted; a value's
+    type and slot values give its equality and hash; copy and pickle rebuild it by its checks."""
 
     __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -156,8 +159,16 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._values()
 
 
 class Gf2Poly(_Frozen):
@@ -207,6 +218,8 @@ class Gf2Poly(_Frozen):
         return self.bits.bit_length() - 1
 
     def coeff(self, i: int) -> int:
+        if i < 0:
+            raise ValueError("coefficient index must be nonnegative")
         return (self.bits >> i) & 1
 
     def to_bitstring(self) -> str:
@@ -258,14 +271,6 @@ class Gf2Poly(_Frozen):
         if not isinstance(other, Gf2Poly):
             return NotImplemented
         return Gf2Poly(_divmod_bits(self.bits, other.bits)[1])
-
-    def __eq__(self, other):
-        if not isinstance(other, Gf2Poly):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash((Gf2Poly, self.bits))
 
     def __bool__(self):
         return bool(self.bits)

@@ -76,6 +76,7 @@ class TestRuleVector:
             assert len(rv) == len(t)
             parsed = RuleVector.parse(text)
             assert parsed == rv and hash(parsed) == hash(rv)
+            assert hash(rv) == hash((RuleVector, rv.mask150 | 1 << len(t)))
             assert rv.mirror() == RuleVector(t[::-1])
             assert rv.mask150 == sum(d << i for i, d in enumerate(t))
         order = sorted(range(len(tuples)), key=tuples.__getitem__)

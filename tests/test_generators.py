@@ -443,6 +443,43 @@ class TestLeapGeneratorEquivalence:
         gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^{r}"), [1] * r), data)
         assert gen.shrunken_sequence(5) == bytes(compress(data.sequence(5), [1] * 5))
 
+    def test_control_seed_is_its_first_prefix(self, monkeypatch):
+        # A control whose seed holds the n ones is not stepped: only the data
+        # register is, for the seed's r1 bits.  One kept bit more steps the
+        # control too.  1 + x + x^2000001 seeded all ones keeps the first 5
+        # data bits; random registers against the literal filter.
+        stepped = []
+        steps = Lfsr._steps
+
+        def spy(reg, n, state):
+            stepped.append(reg)
+            return steps(reg, n, state)
+
+        monkeypatch.setattr(Lfsr, "_steps", spy)
+        r = 2_000_001
+        data = cf.make_lfsr("11001", "1000")
+        control = Lfsr(Gf2Poly.parse(f"1+x+x^{r}"), [1] * r)
+        assert ShrinkingGenerator(control, data).shrunken_sequence(5) == data.sequence(5)
+        assert not any(reg is control for reg in stepped)
+        rng = random.Random("seed-prefix")
+        for _ in range(60):
+            l1, l2 = rng.choice([(l1, l2) for l1 in range(1, 9) for l2 in range(1, 8)
+                                 if gcd(l1, l2) == 1])
+            control = Lfsr(Gf2Poly(rng.randrange(1 << l1, 2 << l1)),
+                           cf.random_nonzero_seed(rng, l1))
+            data = Lfsr(Gf2Poly(rng.randrange(1 << l2, 2 << l2)), cf.random_nonzero_seed(rng, l2))
+            gen, ones = ShrinkingGenerator(control, data), sum(control.state)
+            for n in range(ones + 2):
+                expected = cf.brute_shrunken(gen, n)
+                stepped.clear()
+                if len(expected) < n:
+                    with pytest.raises(ValueError, match="control register ran out of ones"):
+                        gen.shrunken_sequence(n)
+                else:
+                    assert gen.shrunken_sequence(n) == bytes(expected)
+                    assert any(reg is data for reg in stepped)
+                assert any(reg is control for reg in stepped) == (n > ones)
+
     @pytest.mark.parametrize("kind", ["first", "grown", "open"])
     def test_refused_exactly_when_the_nth_kept_bit_lies_past_the_bound(self, kind):
         # Each case puts the n-th kept bit at register bit 4n + 2**22 - 1,
@@ -640,11 +677,16 @@ class TestLeapGeneratorEquivalence:
     def test_sparse_control_past_half_the_bound_is_not_dense(self):
         # 1 + x^3 + x^3000001 has 2 taps over 3,000,001 one-bit blocks, but 5
         # kept bits step the control only to the clocking bound, 1,194,323
-        # new blocks: 2,388,646 XORs, under MAX_WINDOW_BITS.  Its seed of
-        # ones keeps the first 5 data bits.
+        # new blocks: 2,388,646 XORs, under MAX_WINDOW_BITS.  A seed of 4
+        # ones steps it so, and its 5th kept bit is bit r + 1; a seed of
+        # ones keeps the first 5 data bits without stepping the control.
         r = 3_000_001
         data = cf.make_lfsr("11001", "1000")
-        gen = ShrinkingGenerator(Lfsr(Gf2Poly.parse(f"1+x^3+x^{r}"), [1] * r), data)
+        poly = Gf2Poly.parse(f"1+x^3+x^{r}")
+        control = Lfsr(poly, [1] * 4 + [0] * (r - 4))
+        literal = bytes(compress(data.sequence(r + 2), control.sequence(r + 2)))
+        assert ShrinkingGenerator(control, data).shrunken_sequence(5) == literal
+        gen = ShrinkingGenerator(Lfsr(poly, [1] * r), data)
         assert gen.shrunken_sequence(5) == data.sequence(5)
 
 

@@ -96,8 +96,13 @@ class TestParseFormat:
         assert p == Gf2Poly(5)
 
     def test_equal_polynomials_hash_alike(self):
-        assert hash(P("1+x^2")) == hash(P("1010")) == hash(Gf2Poly(5))
+        assert hash(P("1+x^2")) == hash(P("1010")) == hash(Gf2Poly(5)) == hash((Gf2Poly, 5))
         assert len({P("101"), P("1+x^2"), Gf2Poly(5), P("11")}) == 2
+
+    def test_coeff(self):
+        assert [P("1+x^2").coeff(i) for i in range(4)] == [1, 0, 1, 0]
+        with pytest.raises(ValueError, match="^coefficient index must be nonnegative$"):
+            P("1+x^2").coeff(-1)
 
     def test_degree(self):
         assert ZERO.degree == -1

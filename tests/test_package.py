@@ -10,6 +10,8 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import conftest as cf
 import shrinkca
@@ -54,9 +56,9 @@ def test_each_layer_defines_the_names_it_declares():
 
 
 def test_public_values_copy_and_pickle():
-    # Every public value type survives copy.copy, copy.deepcopy and each
-    # pickle protocol from 2 on, rebuilt through its validating
-    # constructor, and the immutable ones stay immutable.
+    # Every public value type survives copy.copy, copy.deepcopy and every
+    # pickle protocol, rebuilt through its validating constructor as a twin
+    # that compares and hashes equal, and the immutable ones stay immutable.
     gen = cf.gen_b()
     values = [
         shrinkca.Gf2Poly.parse(cf.R2B_POLY),
@@ -73,45 +75,55 @@ def test_public_values_copy_and_pickle():
     }
     rounds = [copy.copy, copy.deepcopy] + [
         lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
-        for p in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     for value in values:
         for round_trip in rounds:
             twin = round_trip(value)
             assert type(twin) is type(value) and repr(twin) == repr(value)
-    for value in values[0], values[2], values[3]:
+            assert twin == value and hash(twin) == hash(value)
+    for value in values[:4]:
         twin = pickle.loads(pickle.dumps(value))
-        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+        message = f"^{type(value).__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
             twin.anything = 0
+        with pytest.raises(AttributeError, match=message):
+            delattr(twin, value.__slots__[0])
 
 
 # sha256 prefixes of the pickles, at protocols 2 to 5, of the values that
-# test_immutable_values_share_one_frozen_base builds; taken when each class
-# wrote out its own __setattr__ and __reduce__.
+# test_immutable_values_share_one_frozen_base builds.  Gf2Poly's, Lfsr's,
+# ShrinkingGenerator's and BmResult's were taken when each class wrote out
+# its own __setattr__ and __reduce__; RuleVector's, and so those of the two
+# records that hold RuleVectors, when RuleVector took _Frozen and came to
+# pickle as RuleVector.parse of its wire form.
 PICKLE_DIGESTS = {
     "Gf2Poly": ("048826c260563667", "f539d1ea9a675b2b", "632cbcb1522e78fc", "fc56746d1516c6d7"),
+    "RuleVector": ("e35612c027d5a2c2", "c09e237b9e45538b", "8b547e2f57e6d377", "3f28f666af9a4140"),
     "Lfsr": ("9fb315b91f7d8fdb", "c84a925c28e9fbee", "73724e48fc08276e", "4bd878b18beda074"),
     "ShrinkingGenerator": (
         "b60f64e543e33a4e", "aa7fe2cb92b9ee58", "d96a29e022745fea", "cbf1fa42ef56e6f5",
     ),
     "BmResult": ("a36d9ba4855177cd", "83e03026ced8f1ea", "85f3b7f864fca661", "877c5a9285b026ff"),
     "LinearizationResult": (
-        "f04ac841980a38f4", "a4040820096c4e11", "1a98c836ba485f14", "24257b155e74fd12",
+        "6670e2941aa119f7", "8351849118f06b98", "e914b20d87ebc182", "30725e4bd6d2a47d",
     ),
     "AttackReport": (
-        "dfa491da606a72a2", "f9d7119b321762ed", "dd3fcc457849463b", "09d8a6087ba0a642",
+        "271770d7152eacb9", "6795ef42682b0997", "8fe70cd9395830a6", "149dd848692f5c27",
     ),
 }
 
 
 def test_immutable_values_share_one_frozen_base():
-    # Gf2Poly, Lfsr and ShrinkingGenerator take assignment and copying from
-    # gf2poly._Frozen.  Their pickles and those of the records holding them
-    # keep their bytes, copies rebuild them, no instance has a __dict__ (the
-    # base's empty __slots__), and assignment or deletion names the class.
+    # Gf2Poly, RuleVector, Lfsr and ShrinkingGenerator take assignment,
+    # equality, hashing and copying from gf2poly._Frozen.  Their pickles and
+    # those of the records holding them keep their bytes, copies rebuild
+    # them, no instance has a __dict__ (the base's empty __slots__), and
+    # assignment or deletion names the class.
     gen = cf.gen_b()
     values = [
         shrinkca.Gf2Poly.parse(cf.R2B_POLY),
+        shrinkca.RuleVector.parse(cf.ORBIT_RULES),
         gen.r1,
         gen,
         shrinkca.berlekamp_massey(gen.shrunken_sequence(124)),
@@ -128,7 +140,7 @@ def test_immutable_values_share_one_frozen_base():
             assert type(twin) is type(value) and repr(twin) == repr(value)
             assert [pickle.dumps(twin, protocol=p) for p in protocols] == pickles
         assert not hasattr(value, "__dict__"), name
-    for value in values[:3]:
+    for value in values[:4]:
         assert isinstance(value, gf2poly._Frozen)
         message = f"^{type(value).__name__} is immutable$"
         with pytest.raises(AttributeError, match=message):
@@ -137,6 +149,48 @@ def test_immutable_values_share_one_frozen_base():
             with pytest.raises(AttributeError, match=message):
                 delattr(value, name)
         assert repr(value) == repr(copy.copy(value))
+
+
+@st.composite
+def value_pairs(draw):
+    """Two values of one _Frozen type, built apart: each part of the second
+    is the first's again or a fresh draw, so the two often differ in one."""
+    Gf2Poly, RuleVector, Lfsr = shrinkca.Gf2Poly, shrinkca.RuleVector, shrinkca.Lfsr
+    kind = draw(st.sampled_from(["Gf2Poly", "RuleVector", "Lfsr", "ShrinkingGenerator"]))
+
+    def twice(parts):
+        first = draw(parts)
+        return first, first if draw(st.booleans()) else draw(parts)
+
+    def registers(r):
+        polys = twice(st.integers(1 << r, (2 << r) - 1))
+        seeds = twice(st.lists(st.integers(0, 1), min_size=r, max_size=r))
+        return [Lfsr(Gf2Poly(poly), seed) for poly, seed in zip(polys, seeds)]
+
+    if kind == "Gf2Poly":
+        return [Gf2Poly(bits) for bits in twice(st.integers(0, 15))]
+    if kind == "RuleVector":
+        rules = twice(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+        return [RuleVector(delta) for delta in rules]
+    if kind == "Lfsr":
+        return registers(draw(st.integers(1, 2)))
+    l1, l2 = draw(st.sampled_from([(1, 2), (2, 1), (2, 3), (3, 2)]))
+    return [shrinkca.ShrinkingGenerator(*pair) for pair in zip(registers(l1), registers(l2))]
+
+
+@given(value_pairs())
+def test_values_are_equal_exactly_when_their_reprs_are(pair):
+    # A repr names a value's type and every slot, so two values built apart
+    # are equal exactly when their reprs are, and equal values hash equal.
+    # A value of another type is not equal, even with the same slot values.
+    a, b = pair
+    assert (a == b) == (repr(a) == repr(b)) == (not a != b)
+    if a == b:
+        assert hash(a) == hash(b)
+    if isinstance(b, shrinkca.RuleVector):
+        assert shrinkca.Gf2Poly(b._marked) != b != b._marked
+    if isinstance(b, shrinkca.Gf2Poly):
+        assert b != b.bits
 
 
 def test_library_calls_leave_no_cyclic_garbage():
