@@ -67,9 +67,9 @@ class RuleVector(_Frozen):
         return self._marked ^ (1 << len(self))
 
     @property
-    def delta(self) -> tuple[int, ...]:
-        """The rule bits, cell 1 first."""
-        return tuple(map(int, str(self)))
+    def delta(self) -> bytes:
+        """The rule bits as 0/1 bytes, cell 1 first."""
+        return _from_digits(str(self))
 
     def mirror(self) -> "RuleVector":
         length = len(self)

@@ -1,9 +1,9 @@
 """Shift-register keystream generation and bit-sequence utilities.
 
-Bit streams follow the codec in `gf2poly`: `Lfsr.sequence`,
-`ShrinkingGenerator.shrunken_sequence` and `parse_bits` return 0/1
-bytes, index 0 first emitted, and a run of them is packed as one
-big-endian int of those bytes; `format_bits` prints any 0/1 sequence.
+Bit streams follow the codec in `gf2poly`: `Lfsr.state` and `sequence`,
+`ShrinkingGenerator.shrunken_sequence` and `parse_bits` are 0/1 bytes,
+index 0 first emitted, and a run of them is packed as one big-endian
+int of those bytes; `format_bits` prints any 0/1 sequence.
 A register's characteristic polynomial annihilates its stream: with P
 of degree r, every output bit satisfies a_n = sum of a_(n-r+j) over the
 set coefficients j < r of P.  The seed is the first r emitted bits, so
@@ -29,7 +29,8 @@ from collections.abc import Sequence
 from itertools import compress, islice
 from math import gcd
 
-from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _Frozen, _read_bits
+from .gf2poly import MAX_WINDOW_BITS, Gf2Poly, _bit_bytes, _bit_digits, _exponents, _Frozen
+from .gf2poly import _read_bits
 
 __all__ = [
     "Lfsr",
@@ -71,8 +72,8 @@ def format_bits(bits: Sequence[int]) -> str:
 class Lfsr(_Frozen):
     """Linear feedback shift register in Fibonacci form.
 
-    `state` holds the first `degree` output bits; the register is an
-    immutable value (`_Frozen`), and generation is pure.
+    `state` is the stream's first r bits, the bytes `sequence(r)` returns;
+    the register is an immutable value (`_Frozen`), and generation is pure.
     """
 
     __slots__ = ("charpoly", "state")
@@ -81,7 +82,7 @@ class Lfsr(_Frozen):
         r = charpoly.degree
         if r < 1:
             raise ValueError("characteristic polynomial must have degree >= 1")
-        state = tuple(_bit_bytes(state))
+        state = _bit_bytes(state)
         if len(state) != r:
             raise ValueError(f"seed must supply exactly {r} bits")
         object.__setattr__(self, "charpoly", charpoly)
@@ -117,7 +118,7 @@ class Lfsr(_Frozen):
         end = bits.find(bits[r : 2 * r], max(start, r) + 1)
         return (bits, 0) if end < 0 else (bits[:end], end - r)
 
-    def _steps(self, n: int, state: Sequence[int]) -> bytes:
+    def _steps(self, n: int, state: bytes) -> bytes:
         """First n output bits from the r bits `state`, by block leaps.  P's
         set coefficients j below x**r, read once per call, give the lags
         r - j, and g, the gcd of r and the lags, gives P(x) = Q(x**g), so
@@ -130,7 +131,7 @@ class Lfsr(_Frozen):
         tap a block) is refused before any block is stepped; each later
         doubling takes as many XORs as a whole first one."""
         r = self.length
-        lags = [r - j for j, c in enumerate(self.charpoly.to_bitstring()[:r]) if c == "1"]
+        lags = [r - j for j in _exponents(self.charpoly.bits)[:-1]]  # the last is r
         g = gcd(r, *lags)
         width = r // g  # blocks of g bits in the state
         if (xors := len(lags) * min(width, -(-(n - r) // g))) > MAX_WINDOW_BITS:
@@ -148,7 +149,9 @@ class Lfsr(_Frozen):
             for lag in lags:
                 new ^= blocks[-lag]
             blocks.append(new)
-        return b"".join(block.to_bytes(size, "big") for block in blocks)[:n]
+        seed = r // size  # blocks wholly in the seed, whose bytes are the state's
+        tail = (block.to_bytes(size, "big") for block in blocks[seed:])
+        return b"".join((state[: seed * size], *tail))[:n]
 
     def __repr__(self):
         return f"Lfsr({self.charpoly!r}, {list(self.state)!r})"
@@ -194,7 +197,7 @@ class ShrinkingGenerator(_Frozen):
         # The seed is the first prefix; one short of n ones steps on by its density, to at
         # most 2n + 2r + 2 bits (where a primitive control mostly holds n ones) or twice its
         # length, cut to the bound.  A seed longer than the bound may hold no ones before it.
-        control, t = bytes(self.r1.state[:bound]), 0
+        control, t = self.r1.state[:bound], 0
         while not t and (ones := control.count(1)) < n:
             size = min(len(control) * n // (ones or 1) + r, 2 * max(len(control), n + r + 1), bound)
             control, t = self.r1._cycle(_clocked(max(size, len(control) + 1), n), control)

@@ -42,7 +42,7 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 def _bit_bytes(seq) -> bytes:
     """A 0/1 sequence as 0/1 bytes; every bit input passes this check."""
     try:
-        raw = seq if isinstance(seq, bytes) else bytes(list(seq))
+        raw = seq if type(seq) is bytes else bytes(list(seq))
     except (TypeError, ValueError):  # an item that is not an int in range(256)
         raise ValueError("sequence bits must be 0 or 1") from None
     if raw.translate(None, b"\0\1"):
@@ -77,6 +77,12 @@ def _mask(seq) -> int:
 def _text(mask: int, length: int) -> str:
     """The text of a `length`-bit mask, bit 0 leftmost; "0" for (0, 0)."""
     return format(mask, f"0{length}b")[::-1]
+
+
+def _exponents(mask: int) -> list[int]:
+    """The set bits of a mask, ascending: each ends the run of zeros after the last."""
+    i, runs = -1, _text(mask, mask.bit_length()).split("1")[:-1]
+    return [i := i + len(run) + 1 for run in runs]
 
 
 def _reversed_mask(mask: int, length: int) -> int:
@@ -228,7 +234,7 @@ class Gf2Poly(_Frozen):
 
     def to_terms(self) -> str:
         """Human form, ascending: ``1+x^2+x^5``."""
-        ones = (i for i, c in enumerate(self.to_bitstring()) if c == "1")
+        ones = _exponents(self.bits)
         return "+".join("1" if i == 0 else "x" if i == 1 else f"x^{i}" for i in ones) or "0"
 
     def __add__(self, other):

@@ -320,8 +320,14 @@ def column_fit(rules: RuleVector, target) -> tuple[int, int] | None:
 
 def tuple_double(rules: RuleVector) -> RuleVector:
     """Flip the last rule, append the mirror image, on per-cell tuples."""
-    head = rules.delta[:-1] + (rules.delta[-1] ^ 1,)
+    delta = tuple(rules.delta)
+    head = delta[:-1] + (delta[-1] ^ 1,)
     return RuleVector(head + head[::-1])
+
+
+def enumerated_exponents(mask: int) -> list[int]:
+    """The set bits of a mask, ascending, one character of its text at a time."""
+    return [i for i, c in enumerate(format(mask, "b")[::-1]) if c == "1"]
 
 
 def literal_lfsr(reg: Lfsr, n: int) -> list[int]:

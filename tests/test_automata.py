@@ -20,6 +20,7 @@ from shrinkca import (
     fit_initial_state,
     is_irreducible,
     linearize_shrinking_generator,
+    parse_bits,
     sequence_period,
     state_from_bits,
     state_to_bits,
@@ -51,7 +52,7 @@ class TestRuleVector:
         for bad in (2, 1.5, -1, 1.0):
             with pytest.raises(ValueError, match="0 or 1"):
                 RuleVector((0, bad))
-        assert RuleVector((True, False)).delta == (1, 0)
+        assert RuleVector((True, False)).delta == b"\1\0"
         with pytest.raises(ValueError):
             RuleVector.parse("01a1")
 
@@ -65,14 +66,17 @@ class TestRuleVector:
             rv < "01"
 
     def test_packed_form_matches_tuple_oracle(self):
-        # Every vector of length 1..8 against its tuple: text, bits,
-        # length, mirror, order (prefixes first, as tuples sort), and
-        # equality and hash, which must not confuse "0" with "00".
+        # Every vector of length 1..8 against its tuple: text, bits (0/1
+        # bytes, as every stream is, that rebuild the vector), length,
+        # mirror, order (prefixes first, as tuples sort), and equality and
+        # hash, which must not confuse "0" with "00".
         tuples = [t for n in range(1, 9) for t in product((0, 1), repeat=n)]
         vectors = [RuleVector(t) for t in tuples]
         for t, rv in zip(tuples, vectors):
             text = "".join(map(str, t))
-            assert str(rv) == text and rv.delta == t and list(rv) == list(t)
+            assert str(rv) == text and rv.delta == bytes(t) and list(rv) == list(t)
+            assert type(rv.delta) is bytes and rv.delta == parse_bits(text)
+            assert RuleVector(rv.delta) == rv
             assert len(rv) == len(t)
             parsed = RuleVector.parse(text)
             assert parsed == rv and hash(parsed) == hash(rv)

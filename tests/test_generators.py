@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import compress
 from math import gcd, isqrt
 
@@ -56,7 +57,7 @@ class TestLfsr:
         reg = cf.make_lfsr(cf.R1_POLY, cf.R1_SEED)
         first = reg.sequence(50)
         assert reg.sequence(50) == first
-        assert reg.state == (1, 0, 0)
+        assert reg.state == b"\1\0\0" == first[:3]
 
     def test_register_is_immutable(self):
         # A new polynomial on an old register would leave its seed the
@@ -70,7 +71,7 @@ class TestLfsr:
         ]:
             with pytest.raises(AttributeError):
                 setattr(reg, name, value)
-        assert reg.length == 3 and reg.state == (1, 0, 0)
+        assert reg.length == 3 and reg.state == b"\1\0\0"
         assert format_bits(reg.sequence(7)) == cf.R1_STREAM
 
     def test_short_counts(self):
@@ -94,7 +95,31 @@ class TestLfsr:
             Lfsr(Gf2Poly.parse("111"), [bad, 0])
 
     def test_bool_seed_bits_are_ints(self):
-        assert Lfsr(Gf2Poly.parse("111"), [True, False]).state == (1, 0)
+        # Whatever 0/1 sequence seeds it, bools included, the state is the
+        # exact bytes of the register's first r output bits, as streams are held.
+        class Bits(bytes):
+            pass
+
+        poly = Gf2Poly.parse(cf.R2A_POLY)
+        bits = b"\1\0\1\1"
+        seeds = [[True, False, True, True], [1, 0, 1, 1], (1, 0, 1, 1), bytearray(bits)]
+        seeds += [memoryview(bits), bits, Bits(bits)]
+        for seed in seeds:
+            reg = Lfsr(poly, seed)
+            assert type(reg.state) is bytes and reg.state == bits == reg.sequence(reg.length)
+            assert reg == Lfsr(poly, bits) and repr(reg) == "Lfsr(Gf2Poly('11001'), [1, 0, 1, 1])"
+
+    def test_high_degree_seed_is_held_as_given(self):
+        # A bytes seed is the state itself: a 2,000,001-bit register holds no
+        # copy of it, where a tuple of its bits would hold 8 bytes a bit.
+        poly, seed = Gf2Poly.parse("1+x+x^2000001"), b"\1" * 2_000_001
+        tracemalloc.start()
+        try:
+            reg = Lfsr(poly, seed)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reg.state == seed and held < 4 << 20
 
     def test_high_degree_register_in_linear_time(self):
         # Degree 2**20: the taps are read from the coefficient text when the

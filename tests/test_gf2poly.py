@@ -4,14 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_primitive, long_division_lists, regex_parse, regex_read_bits
-from conftest import trial_division_irreducible
+from conftest import enumerated_exponents, first_primitive, long_division_lists, regex_parse
+from conftest import regex_read_bits, trial_division_irreducible
 from shrinkca import ONE, X, ZERO, Gf2Poly, is_irreducible, is_primitive, poly_gcd, poly_powmod
-from shrinkca.gf2poly import MAX_WINDOW_BITS, _read_bits
+from shrinkca.gf2poly import MAX_WINDOW_BITS, _exponents, _read_bits
 
 
 def P(text):
     return Gf2Poly.parse(text)
+
+
+@st.composite
+def masks(draw):
+    """0, 1, or a sparse or dense mask, times x**k for k in 0..3, or Q(x**g)."""
+    kind = draw(st.sampled_from(["constant", "sparse", "dense", "x-factor", "Q(x^g)"]))
+    if kind == "constant":
+        return draw(st.integers(0, 1))
+    if kind == "sparse":
+        top = draw(st.integers(1, 1 << 14))
+        lower = draw(st.lists(st.integers(0, top - 1), max_size=4))
+        return sum({1 << k for k in [0, top] + lower})
+    d = draw(st.integers(1, 300))
+    dense = ((2 << d) - 1) ^ draw(st.integers(0, (1 << d) - 1))
+    if kind == "dense":
+        return dense
+    if kind == "x-factor":
+        return dense << draw(st.integers(1, 3))
+    g = draw(st.integers(2, 7))
+    return sum(1 << g * i for i in range(d + 1) if dense >> i & 1)
 
 
 def _prime_factors(n):
@@ -61,6 +81,14 @@ class TestParseFormat:
         assert P(f"1+x^{MAX_WINDOW_BITS}").degree == MAX_WINDOW_BITS
         with pytest.raises(ValueError, match=f"term exponent {MAX_WINDOW_BITS + 1} is over"):
             P(f"1+x^{MAX_WINDOW_BITS + 1}")
+
+    @settings(max_examples=500, deadline=None)
+    @given(masks())
+    def test_exponents_match_a_scan_of_every_coefficient(self, mask):
+        # One split of the text finds the set bits that a pass over every
+        # character finds, and the term form they print parses back.
+        assert _exponents(mask) == enumerated_exponents(mask)
+        assert P(Gf2Poly(mask).to_terms()) == Gf2Poly(mask)
 
     @settings(max_examples=1000, deadline=None)
     @given(st.text(alphabet="01x^+ \t\n23456789\u00b2\u0663\uff11", max_size=12))
